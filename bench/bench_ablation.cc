@@ -2,8 +2,7 @@
 // measures, on one workload, what each lossless filter (Sec. III-E), the
 // dedup strategy, the verification engine tiers (budgeted verify,
 // token-id path, shared token-pair cache, per-worker L1 tier) and the
-// shuffle engine (streaming fusion, combiner, skew-adaptive partitioning)
-// contribute in candidate/verification counts, per-tier cache hit rates,
+// shuffle (combiner, skew-adaptive partitioning) contribute in candidate/verification counts, per-tier cache hit rates,
 // combiner record reduction, peak shuffle-resident records and measured
 // wall time. Complements Figs. 1-5, which report the paper's own
 // parameter sweeps.
@@ -13,9 +12,9 @@
 // hit split and flush-batch counts that explain where the multi-thread
 // win comes from.
 //
-// With --shuffle_json <path>, additionally writes the legacy-vs-streaming
-// shuffle counters (map output records, pipeline peak shuffle-resident
-// records, reduction factor) plus the cache-tier and combiner counters of
+// With --shuffle_json <path>, additionally writes the shuffle counters
+// (map output records, pipeline peak shuffle-resident records) plus the
+// cache-tier and combiner counters of
 // the workers=hw run as JSON, which CI merges into BENCH_verify.json so
 // the memory and contention wins are tracked in the perf trajectory.
 //
@@ -221,22 +220,13 @@ bool Run(const std::string& shuffle_json_path,
     o.adaptive_partitions = false;
     rows.push_back({"PR3 baseline (no L1/combiner/adaptive)", o});
   }
-  {
-    // Shuffle-engine ablation: the legacy two-job hash-shuffle pipeline
-    // that materializes the pre-dedup candidate universe between jobs.
-    // Identical pairs, NSLD values and candidate counters; only the
-    // shuffle-residency and wall columns move.
-    TsjOptions o = base;
-    o.enable_streaming_shuffle = false;
-    rows.push_back({"- streaming shuffle (legacy engine)", o});
-  }
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
                       "verify work", "L1 hit%", "shared hit%", "flushes",
                       "comb in>out", "lanes%", "peq reuse", "peak shuffle",
                       "wall (ms)"});
   uint64_t budgeted_work = 0, unbounded_work = 0;
-  ShuffleNumbers streaming_numbers, legacy_numbers;
+  ShuffleNumbers streaming_numbers;
   TsjRunInfo full_info;
   TsjRunInfo scalar_verify_info;
   double full_wall_ms = 0, pr3_wall_ms = 0;
@@ -262,10 +252,6 @@ bool Run(const std::string& shuffle_json_path,
     if (!row.options.enable_batched_verify) {
       scalar_verify_info = info;
       scalar_verify_wall_ms = ms;
-    }
-    if (!row.options.enable_streaming_shuffle) {
-      legacy_numbers = {info.pipeline.total_map_output_records(),
-                        info.peak_shuffle_records, ms};
     }
     const uint64_t l1_probes =
         info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
@@ -567,17 +553,6 @@ bool Run(const std::string& shuffle_json_path,
                      static_cast<double>(budgeted_work)
               << "x fewer verify work units than unbounded SLD\n";
   }
-  if (streaming_numbers.peak_shuffle_records > 0 &&
-      legacy_numbers.peak_shuffle_records > 0) {
-    std::cout << "streaming shuffle saving: "
-              << static_cast<double>(legacy_numbers.peak_shuffle_records) /
-                     static_cast<double>(
-                         streaming_numbers.peak_shuffle_records)
-              << "x fewer peak shuffle-resident records than the legacy "
-                 "engine ("
-              << legacy_numbers.peak_shuffle_records << " -> "
-              << streaming_numbers.peak_shuffle_records << ")\n";
-  }
   if (full_info.batched_verify_calls > 0) {
     std::cout << "batched verify: " << full_info.batched_verify_calls
               << " row batches, lanes filled "
@@ -606,9 +581,9 @@ bool Run(const std::string& shuffle_json_path,
   std::cout << "\nexpectations: removing filters raises 'verified' with the "
                "same result pairs; the approximations only shrink the "
                "result; disabling budgeted verify, batched verify, token-id "
-               "verify, either cache tier, the combiner, adaptive "
-               "partitioning, or the streaming shuffle changes nothing but "
-               "the work/traffic/wall columns (byte-identical pairs and "
+               "verify, either cache tier, the combiner, or adaptive "
+               "partitioning changes nothing but the work/traffic/wall "
+               "columns (byte-identical pairs and "
                "NSLD values).\n";
 
   // ---- Workers sweep: the contention picture in one table. ---------------
@@ -663,18 +638,6 @@ bool Run(const std::string& shuffle_json_path,
          << ", \"peak_shuffle_records\": "
          << streaming_numbers.peak_shuffle_records
          << ", \"wall_ms\": " << streaming_numbers.wall_ms << "},\n"
-         << "  \"legacy\": {\"map_output_records\": "
-         << legacy_numbers.map_output_records
-         << ", \"peak_shuffle_records\": "
-         << legacy_numbers.peak_shuffle_records
-         << ", \"wall_ms\": " << legacy_numbers.wall_ms << "},\n"
-         << "  \"peak_reduction\": "
-         << (streaming_numbers.peak_shuffle_records > 0
-                 ? static_cast<double>(legacy_numbers.peak_shuffle_records) /
-                       static_cast<double>(
-                           streaming_numbers.peak_shuffle_records)
-                 : 0.0)
-         << ",\n"
          << "  \"cache_tiers\": {\"l1_hits\": "
          << full_info.token_pair_cache_l1_hits
          << ", \"l1_misses\": " << full_info.token_pair_cache_l1_misses

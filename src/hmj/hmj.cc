@@ -262,17 +262,13 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   // Checkpoint gating, shared by both jobs (same contract as the TSJ
   // gate): strip the engine-level dir unless the join-level switch is
   // on; with the switch on and no caller-supplied fingerprint, derive
-  // one from the corpus statistics and join parameters so restarts only
+  // one from the corpus content and join parameters so restarts only
   // restore checkpoints written for this exact input.
   uint64_t ckpt_fp = options_.mapreduce.checkpoint_fingerprint;
   if (options_.enable_checkpointing && ckpt_fp == 0) {
-    ckpt_fp = MixCheckpointFingerprint(0, corpus.size());
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, corpus.num_distinct_tokens());
-    size_t total_token_occurrences = 0;
-    for (uint32_t s = 0; s < corpus.size(); ++s) {
-      total_token_occurrences += corpus.tokens(s).size();
-    }
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, total_token_occurrences);
+    ckpt_fp = MixCheckpointContent(0, corpus.size(), [&corpus](size_t s) {
+      return corpus.Materialize(static_cast<StringId>(s));
+    });
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, static_cast<uint64_t>(t * 1e9));
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, options_.num_partitions);
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, options_.seed);

@@ -71,7 +71,7 @@ struct HmjOptions {
   /// seal completed map tasks under that directory and a restarted run
   /// over the same corpus skips tasks whose checkpoint validates. A zero
   /// mapreduce.checkpoint_fingerprint is derived from the corpus
-  /// statistics and join parameters. Off by default: the engine-level
+  /// content and join parameters. Off by default: the engine-level
   /// dir is stripped unless this is set.
   bool enable_checkpointing = false;
   /// Skew-adaptive shuffle partitioning (mapreduce/cluster_model.h):

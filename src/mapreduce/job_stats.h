@@ -91,7 +91,7 @@ struct JobStats {
   /// crossed the stage boundary); the pre-combine volume is
   /// combiner_input_records.
   uint64_t shuffle_records = 0;
-  /// Records scanned by the sorted-mode combiner (run-scan
+  /// Records scanned by the combiner (run-scan
   /// pre-aggregation in the emitter buckets; see mapreduce.h). Zero when
   /// no combiner ran. combiner_input_records - combiner_output_records
   /// is the shuffle volume the combiner removed before the records
@@ -104,9 +104,9 @@ struct JobStats {
   /// fused job share one gauge and report the same peak.
   uint64_t peak_shuffle_records = 0;
 
-  // External-memory spill (mapreduce/spill.h; sorted modes only, active
-  // when the job ran under a MapReduceOptions::memory_budget_records
-  // policy or the CC_SHUFFLE_SPILL_BUDGET test override).
+  // External-memory spill (mapreduce/spill.h; active when the job ran
+  // under a MapReduceOptions::memory_budget_records policy or the
+  // CC_SHUFFLE_SPILL_BUDGET test override).
   /// Records written to disk as sorted runs (counted post-flush-combine:
   /// what actually hit disk).
   uint64_t spilled_records = 0;

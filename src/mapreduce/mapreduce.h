@@ -4,33 +4,20 @@
 //   map:    <key1, value1>        -> [<key2, value2>]
 //   reduce: <key2, [value2]>      -> [value3]
 // and executes them on a thread pool with a shuffle in between, i.e. a
-// faithful shared-nothing simulation running in one address space. Two
-// execution modes share that contract:
+// faithful shared-nothing simulation running in one address space. There
+// is one shuffle, the streaming sorted one (RunMapReduceSorted): map tasks
+// emit through a PartitionedEmitter that scatters records into
+// per-partition buckets *at emit time*, each partition is grouped by
+// stable-sorting its records by key, and the reducer runs over contiguous
+// key runs exposed as std::spans of a single reused buffer — no per-key
+// vector<Value>, no grouping hash map. Key must be equality- and
+// less-than-comparable and hashable by StableHash; within one run, values
+// keep map-task emission order.
 //
-//  * RunMapReduce — the legacy hash shuffle, kept as the differential
-//    reference: map tasks buffer every emission in a flat Emitter vector,
-//    a separate scatter pass partitions the records by stable key hash,
-//    and each reduce partition groups its records into an
-//    unordered_map<Key, vector<Value>> before reducing group by group.
-//    Simple and obviously correct, but every record is resident in three
-//    successive buffers and every distinct key costs a heap node.
-//
-//  * RunMapReduceSorted — the streaming shuffle: map tasks emit through a
-//    PartitionedEmitter that scatters records into per-partition buckets
-//    *at emit time* (the scatter pass disappears), each partition is
-//    grouped by stable-sorting its records by key, and the reducer runs
-//    over contiguous key runs exposed as std::spans of a single reused
-//    buffer — no per-key vector<Value>, no grouping hash map. Requires
-//    Key to be less-than-comparable (on top of the equality/StableHash
-//    requirements of the legacy mode); within one run, values keep
-//    map-task emission order, exactly like the legacy grouping. Prefer
-//    this mode; use the legacy mode to cross-check it or when a key
-//    cannot be ordered.
-//
-// Both modes take an optional combiner (CombinerFn). In the sorted modes
-// it runs as *combine-at-sort*: after a producer stops emitting, each of
-// its emitter buckets is stable-sorted by key and the combiner shrinks
-// every contiguous key run in place (PartitionedEmitter::Combine) —
+// Every job takes an optional combiner (CombinerFn). It runs as
+// *combine-at-sort*: after a producer stops emitting, each of its emitter
+// buckets is stable-sorted by key and the combiner shrinks every
+// contiguous key run in place (PartitionedEmitter::Combine) —
 // per-producer pre-aggregation with no grouping hash map, executed before
 // the records are concatenated into shuffle partitions (and, in the fused
 // runner, before they cross the stage boundary). The reduce function must
@@ -48,8 +35,8 @@
 // producing task, so a hot token's quadratic candidate fan-out shrinks
 // before the dedup/verify shuffle ever sees it.
 //
-// Spill / merge contract (external memory; mapreduce/spill.h). The sorted
-// modes optionally run under MapReduceOptions::memory_budget_records — a
+// Spill / merge contract (external memory; mapreduce/spill.h). Jobs
+// optionally run under MapReduceOptions::memory_budget_records — a
 // bound on shuffle records resident in memory (or the test-tier
 // CC_SHUFFLE_SPILL_BUDGET environment override). Mechanics:
 //
@@ -81,7 +68,7 @@
 //    contiguous mutable std::span — even when the run was split across
 //    several spill files — backed by a buffer that is reused across runs
 //    but stable (and reorderable in place) for the duration of that
-//    reduce call, the same guarantee as the in-memory modes.
+//    reduce call, the same guarantee as the in-memory shuffle.
 //  * Residency: only producer buckets within their shares plus the active
 //    merge windows are ever in memory; JobStats::peak_resident_records
 //    (a gauge producers and merges publish in small batches — see
@@ -127,8 +114,8 @@
 //    below) a newly flagged map task additionally gets a second attempt
 //    launched against the same immutable input.
 //  * Checkpoint validity. When MapReduceOptions::checkpoint_dir is set,
-//    every completed map task of the sorted modes seals its output
-//    (sorted residue + spill runs, merged in reduce source order) into a
+//    every completed map task seals its output (sorted residue + spill
+//    runs, merged in reduce source order) into a
 //    checksummed v2 segment plus a manifest under that directory, and a
 //    restarted job with the same dir, job name, fingerprint and task
 //    geometry SKIPS tasks whose checkpoint validates — manifest magic,
@@ -145,8 +132,7 @@
 //    cannot prove two runs share a corpus — restore requires the
 //    explicit option). Reduce tasks are not checkpointed: their outputs
 //    live in job-local memory and are cheap to recompute relative to
-//    re-verifying, and the legacy hash-shuffle mode is excluded
-//    entirely.
+//    re-verifying.
 //  * Hedge-cancellation semantics. With enable_hedged_execution (default
 //    on, inert unless the CC_TASK_TIMEOUT_MS watchdog is armed), a map
 //    task the watchdog flags as stuck gets ONE hedged attempt launched
@@ -199,11 +185,12 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "mapreduce/job_stats.h"
@@ -228,8 +215,8 @@ struct MapReduceOptions {
   /// intermediate vectors it adds manually (tsj/tsj.cc does).
   ShuffleGauge* shuffle_gauge = nullptr;
   /// Optional hook invoked on the worker thread right after it finishes
-  /// reducing one partition (every engine mode; in the fused runner,
-  /// after each stage-1 and each stage-2 partition). Lets reduce
+  /// reducing one partition (in the fused runner, after each stage-1 and
+  /// each stage-2 partition). Lets reduce
   /// functions that batch per-thread side state across groups drain it at
   /// a guaranteed coarser boundary — tsj uses it to flush each verify
   /// worker's deferred token-pair-cache upserts (tokenized/sld.h), so
@@ -238,12 +225,12 @@ struct MapReduceOptions {
   /// concurrent partitions.
   std::function<void()> reduce_partition_epilogue;
 
-  /// External-memory spill budget (sorted modes only; see the "Spill /
-  /// merge contract" section of the file comment): the maximum number of
-  /// shuffle records the job keeps resident in memory. 0 = unlimited (no
+  /// External-memory spill budget (see the "Spill / merge contract"
+  /// section of the file comment): the maximum number of shuffle records
+  /// the job keeps resident in memory. 0 = unlimited (no
   /// spill) — unless the CC_SHUFFLE_SPILL_BUDGET environment variable is
   /// set, the test-tier override that lets CI force the spill path
-  /// through every sorted-mode job in the process. When active, each
+  /// through every job in the process. When active, each
   /// producer flushes its over-budget partition buckets to `spill_dir` as
   /// sorted (and combined, when a combiner is configured) runs, and
   /// reducers are driven from a k-way sort-merge of runs instead of a
@@ -265,8 +252,8 @@ struct MapReduceOptions {
   /// failure (see the fault-tolerance contract in the file comment).
   /// 0 disables retry: the first failure of any kind is fatal.
   size_t max_task_retries = 2;
-  /// Checkpoint/restart directory (sorted modes' map phases; see the
-  /// "Checkpoint validity" section of the file comment). Empty = no
+  /// Checkpoint/restart directory (map phases; see the "Checkpoint
+  /// validity" section of the file comment). Empty = no
   /// checkpointing — unless CC_CHECKPOINT_DIR is set, which arms the
   /// WRITE side only. With a non-empty dir, completed map tasks seal
   /// their output there and a restarted job (same dir, job name,
@@ -278,8 +265,8 @@ struct MapReduceOptions {
   /// Caller-supplied input identity folded into the checkpoint job id.
   /// Two runs may restore from each other's checkpoints only when their
   /// job name, this fingerprint, and task/partition geometry all match —
-  /// so callers SHOULD derive it from the input corpus (the joins hash
-  /// corpus size and token counts). 0 is a valid fingerprint but makes
+  /// so callers SHOULD derive it from the input's content (the joins use
+  /// MixCheckpointContent). 0 is a valid fingerprint but makes
   /// "same name, different data" collisions the caller's responsibility.
   uint64_t checkpoint_fingerprint = 0;
   /// Launch a hedged second attempt for map tasks the watchdog flags as
@@ -295,41 +282,48 @@ struct MapReduceOptions {
 };
 
 /// Order-dependent 64-bit mixer for building
-/// MapReduceOptions::checkpoint_fingerprint out of input statistics
-/// (corpus sizes, token counts, thresholds): fold each quantity in with
-/// one call. The joins use it so two runs restore from each other's
-/// checkpoints only when their inputs agree on these statistics.
+/// MapReduceOptions::checkpoint_fingerprint: fold each quantity (a
+/// content hash, a threshold, a tunable) in with one call.
 inline uint64_t MixCheckpointFingerprint(uint64_t h, uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
 }
 
-/// Collects the (key, value) pairs emitted by one map task (legacy mode:
-/// one flat buffer, partitioned later by the scatter pass).
-template <typename Key, typename Value>
-class Emitter {
- public:
-  void Emit(Key key, Value value) {
-    pairs_.emplace_back(std::move(key), std::move(value));
+/// Folds a join input's *content* into a checkpoint fingerprint: the
+/// string count, then every string in order as its tokens followed by its
+/// token count. `tokens_of(s)` returns string s's tokens as a range of
+/// texts (hashed with Fingerprint64) or of integer ids (hashed with
+/// Mix64). Two inputs agree on the result only when they agree token for
+/// token, so a checkpoint dir reused across inputs with equal statistics
+/// invalidates instead of restoring another input's map outputs.
+template <typename TokensOf>
+uint64_t MixCheckpointContent(uint64_t h, size_t num_strings,
+                              const TokensOf& tokens_of) {
+  h = MixCheckpointFingerprint(h, num_strings);
+  for (size_t s = 0; s < num_strings; ++s) {
+    uint64_t count = 0;
+    for (const auto& token : tokens_of(s)) {
+      if constexpr (std::is_integral_v<std::decay_t<decltype(token)>>) {
+        h = MixCheckpointFingerprint(h, Mix64(token));
+      } else {
+        h = MixCheckpointFingerprint(h, Fingerprint64(token));
+      }
+      ++count;
+    }
+    h = MixCheckpointFingerprint(h, count);
   }
-  std::vector<std::pair<Key, Value>>& pairs() { return pairs_; }
-  const std::vector<std::pair<Key, Value>>& pairs() const { return pairs_; }
-
- private:
-  std::vector<std::pair<Key, Value>> pairs_;
-};
+  return h;
+}
 
 /// Optional combiner: merges the values of one key *within one producer*
 /// before the shuffle, cutting shuffle volume for associative reductions
 /// (the standard MapReduce optimization). Receives the values collected
 /// so far and replaces them with a combined list that must not be longer
-/// (shrinking is the point; in-place compaction relies on it). In the
-/// legacy mode the combiner runs over a per-map-task grouping hash map;
-/// in the sorted modes it runs as a run-scan over each emitter bucket
-/// (PartitionedEmitter::Combine) — same per-key semantics, no hash map.
-/// In both engines the reduce function must be insensitive to the
-/// pre-aggregation (it still sees every key, with combined value lists
-/// concatenated across producers).
+/// (shrinking is the point; in-place compaction relies on it). It runs
+/// as a run-scan over each emitter bucket (PartitionedEmitter::Combine),
+/// with no grouping hash map. The reduce function must be insensitive to
+/// the pre-aggregation (it still sees every key, with combined value
+/// lists concatenated across producers).
 template <typename Key, typename Value>
 using CombinerFn =
     std::function<void(const Key&, std::vector<Value>*)>;
@@ -407,7 +401,7 @@ class PartitionedEmitter {
     }
   }
 
-  /// Run-scan pre-aggregation (the sorted modes' combiner, applied by the
+  /// Run-scan pre-aggregation (the job's combiner, applied by the
   /// engine after this producer stops emitting): stable-sorts each bucket
   /// by key — the sort the shuffle would do anyway happens early, on this
   /// producer's slice — hands each contiguous key run's values to
@@ -1061,8 +1055,7 @@ inline void FinishTaskStats(ThreadPool* pool, const CancellationToken& token,
 // Builds partition `p` of the sorted shuffle: concatenates every
 // producer's bucket `p` in producer order (freeing the buckets), then
 // stable-sorts by key, so equal keys form contiguous runs whose values
-// keep producer emission order — the same per-group value order the
-// legacy grouping produces.
+// keep producer emission order.
 template <typename Key, typename Value, typename Producers>
 std::vector<std::pair<Key, Value>> MergeSortPartition(
     Producers* producers, size_t p, const GaugePair& gauge) {
@@ -1793,223 +1786,27 @@ void RunMapPhase(
 
 }  // namespace mapreduce_internal
 
-/// Runs one MapReduce job (legacy hash-shuffle mode).
-///
-/// `map_fn(input, emitter)` is called once per input record; it may emit any
-/// number of (Key, Value) pairs. `reduce_fn(key, values, output)` is called
-/// once per distinct key with every value emitted under that key; it appends
-/// results to `output`. Key must be equality-comparable and hashable by
-/// StableHash. Both functions must be thread-safe with respect to their own
-/// captured state (they run concurrently on different records/groups).
-///
-/// Returns all reduce outputs (unspecified but deterministic order for a
-/// fixed number of partitions). `stats`, if non-null, receives execution
-/// statistics.
-template <typename Input, typename Key, typename Value, typename Output>
-std::vector<Output> RunMapReduce(
-    const std::string& job_name, const std::vector<Input>& inputs,
-    const std::function<void(const Input&, Emitter<Key, Value>*)>& map_fn,
-    const std::function<void(const Key&, std::vector<Value>*,
-                             std::vector<Output>*)>& reduce_fn,
-    const MapReduceOptions& options = {}, JobStats* stats = nullptr,
-    const CombinerFn<Key, Value>& combiner = nullptr) {
-  const size_t num_workers = options.effective_workers();
-  const size_t num_partitions = std::max<size_t>(1, options.num_partitions);
-  ThreadPool pool(num_workers);
-  JobStats local_stats;
-  local_stats.name = job_name;
-  local_stats.input_records = inputs.size();
-  local_stats.executed_workers = num_workers;
-  ShuffleGauge local_gauge;
-  const mapreduce_internal::GaugePair gauge{&local_gauge,
-                                            options.shuffle_gauge};
-  CancellationToken cancel;
-  mapreduce_internal::TaskCounters task_counters;
-
-  // ---- Map phase -----------------------------------------------------
-  Stopwatch map_watch;
-  const size_t num_map_tasks =
-      mapreduce_internal::NumMapTasks(inputs.size(), num_workers);
-  std::vector<Emitter<Key, Value>> emitters(num_map_tasks);
-  std::vector<uint64_t> map_task_units(num_map_tasks, 0);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_map_tasks, options.max_task_retries, cancel, "task.map",
-      &task_counters,
-      [&](size_t task) {  // reset: drop the attempt's buffered emissions
-        emitters[task].pairs().clear();
-        emitters[task].pairs().shrink_to_fit();
-        map_task_units[task] = 0;
-      },
-      [&](size_t task) {
-    const size_t begin = inputs.size() * task / num_map_tasks;
-    const size_t end = inputs.size() * (task + 1) / num_map_tasks;
-    TakeWorkUnits();  // clear leftovers from other tasks on this thread
-    for (size_t i = begin; i < end; ++i) {
-      map_fn(inputs[i], &emitters[task]);
-    }
-    if (combiner != nullptr) {
-      // Local pre-aggregation: group this task's emissions by key and let
-      // the combiner shrink each value list before the shuffle.
-      struct HashAdapter {
-        size_t operator()(const Key& k) const { return StableHash()(k); }
-      };
-      std::unordered_map<Key, std::vector<Value>, HashAdapter> local;
-      for (auto& kv : emitters[task].pairs()) {
-        local[std::move(kv.first)].push_back(std::move(kv.second));
-      }
-      auto& pairs = emitters[task].pairs();
-      pairs.clear();
-      for (auto& [key, values] : local) {
-        combiner(key, &values);
-        for (auto& value : values) {
-          pairs.emplace_back(key, std::move(value));
-        }
-      }
-    }
-    map_task_units[task] = TakeWorkUnits();
-    gauge.Add(emitters[task].pairs().size());
-  });
-  uint64_t map_output_records = 0;
-  for (const auto& e : emitters) map_output_records += e.pairs().size();
-  for (uint64_t units : map_task_units) {
-    local_stats.map_work_units += units;
-  }
-  local_stats.map_output_records = map_output_records;
-  local_stats.shuffle_records = map_output_records;
-  local_stats.map_wall_seconds = map_watch.ElapsedSeconds();
-
-  // ---- Shuffle phase ---------------------------------------------------
-  Stopwatch shuffle_watch;
-  StableHash hasher;
-  // Each map task scatters its pairs into per-partition buckets, then the
-  // buckets are concatenated per partition.
-  std::vector<std::vector<std::vector<std::pair<Key, Value>>>> scattered(
-      num_map_tasks);
-  // Shuffle tasks consume the emitters destructively, so only start
-  // faults retry here (reset == nullptr; see the fault contract).
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_map_tasks, options.max_task_retries, cancel,
-      "alloc.shuffle", &task_counters, nullptr, [&](size_t task) {
-    auto& buckets = scattered[task];
-    buckets.resize(num_partitions);
-    const size_t task_records = emitters[task].pairs().size();
-    gauge.Add(task_records);  // buckets fill while the emitter still lives
-    for (auto& kv : emitters[task].pairs()) {
-      const size_t p = hasher(kv.first) % num_partitions;
-      buckets[p].push_back(std::move(kv));
-    }
-    emitters[task].pairs().clear();
-    emitters[task].pairs().shrink_to_fit();
-    gauge.Sub(task_records);
-  });
-  std::vector<std::vector<std::pair<Key, Value>>> partitions(num_partitions);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_partitions, options.max_task_retries, cancel,
-      "alloc.shuffle", &task_counters, nullptr, [&](size_t p) {
-    size_t total = 0;
-    for (size_t task = 0; task < num_map_tasks; ++task) {
-      total += scattered[task][p].size();
-    }
-    partitions[p].reserve(total);
-    gauge.Add(total);
-    for (size_t task = 0; task < num_map_tasks; ++task) {
-      auto& bucket = scattered[task][p];
-      std::move(bucket.begin(), bucket.end(),
-                std::back_inserter(partitions[p]));
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
-    gauge.Sub(total);
-  });
-  scattered.clear();
-  local_stats.shuffle_wall_seconds = shuffle_watch.ElapsedSeconds();
-
-  // ---- Reduce phase ----------------------------------------------------
-  Stopwatch reduce_watch;
-  struct PartitionResult {
-    std::vector<Output> outputs;
-    std::vector<GroupLoad> loads;
-    uint64_t num_groups = 0;
-  };
-  std::vector<PartitionResult> results(num_partitions);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_partitions, options.max_task_retries, cancel,
-      "task.reduce", &task_counters, nullptr, [&](size_t p) {
-    // Group the partition's pairs by key.
-    struct HashAdapter {
-      size_t operator()(const Key& k) const { return StableHash()(k); }
-    };
-    const size_t partition_records = partitions[p].size();
-    gauge.Add(partition_records);  // the grouping map duplicates the records
-    std::unordered_map<Key, std::vector<Value>, HashAdapter> groups;
-    for (auto& kv : partitions[p]) {
-      groups[kv.first].push_back(std::move(kv.second));
-    }
-    partitions[p].clear();
-    partitions[p].shrink_to_fit();
-    gauge.Sub(partition_records);
-    auto& result = results[p];
-    result.num_groups = groups.size();
-    if (options.collect_group_loads) result.loads.reserve(groups.size());
-    for (auto& [key, values] : groups) {
-      if (options.collect_group_loads) {
-        // Deterministic work units (work_units.h) are the preferred cost
-        // source for the simulated-cluster makespan; per-group wall time
-        // is kept as a fallback for reduce functions that report none.
-        Stopwatch group_watch;
-        const uint64_t records = values.size();
-        TakeWorkUnits();
-        reduce_fn(key, &values, &result.outputs);
-        result.loads.push_back(GroupLoad{hasher(key), records,
-                                         TakeWorkUnits(),
-                                         group_watch.ElapsedSeconds()});
-      } else {
-        reduce_fn(key, &values, &result.outputs);
-      }
-    }
-    gauge.Sub(partition_records);  // groups die with this task
-    if (options.reduce_partition_epilogue) options.reduce_partition_epilogue();
-  });
-  std::vector<Output> outputs;
-  {
-    size_t total = 0;
-    for (const auto& r : results) total += r.outputs.size();
-    outputs.reserve(total);
-  }
-  for (auto& r : results) {
-    local_stats.num_groups += r.num_groups;
-    std::move(r.outputs.begin(), r.outputs.end(),
-              std::back_inserter(outputs));
-    if (options.collect_group_loads) {
-      local_stats.group_loads.insert(local_stats.group_loads.end(),
-                                     r.loads.begin(), r.loads.end());
-    }
-  }
-  local_stats.reduce_output_records = outputs.size();
-  local_stats.reduce_wall_seconds = reduce_watch.ElapsedSeconds();
-  local_stats.peak_shuffle_records = local_gauge.peak();
-  task_counters.AddTo(&local_stats);
-  mapreduce_internal::FinishTaskStats(&pool, cancel, &local_stats);
-  if (!local_stats.status.ok()) outputs.clear();  // aborted: outputs void
-
-  if (stats != nullptr) *stats = std::move(local_stats);
-  return outputs;
-}
-
 /// Runs one MapReduce job in streaming sorted-shuffle mode (see the file
 /// comment): records are partitioned at emit time and each partition is
 /// grouped by stable-sorting by key, so the reducer sees each run's
 /// values as a mutable std::span (reducers may reorder in place; the
-/// values arrive in map-task emission order, like the legacy grouping).
+/// values arrive in map-task emission order).
 ///
-/// Same contract and statistics as RunMapReduce, with one difference:
-/// Key must additionally be less-than-comparable. The optional combiner
-/// runs as a run-scan over each map task's emitter buckets after the
-/// task finishes emitting (PartitionedEmitter::Combine — combine-at-sort,
-/// before the records cross into the shuffle); pre/post-combine volumes
-/// are reported through JobStats::combiner_{input,output}_records, and
-/// map_output_records/shuffle_records count the post-combine records,
-/// like the legacy mode.
+/// `map_fn(input, emitter)` is called once per input record; it may emit
+/// any number of (Key, Value) pairs. `reduce_fn(key, values, output)` is
+/// called once per distinct key with every value emitted under that key;
+/// it appends results to `output`. Both functions must be thread-safe
+/// with respect to their own captured state (they run concurrently on
+/// different records/groups). Returns all reduce outputs (unspecified but
+/// deterministic order for a fixed number of partitions); `stats`, if
+/// non-null, receives execution statistics.
+///
+/// The optional combiner runs as a run-scan over each map task's emitter
+/// buckets after the task finishes emitting (PartitionedEmitter::Combine
+/// — combine-at-sort, before the records cross into the shuffle);
+/// pre/post-combine volumes are reported through
+/// JobStats::combiner_{input,output}_records, and
+/// map_output_records/shuffle_records count the post-combine records.
 template <typename Input, typename Key, typename Value, typename Output>
 std::vector<Output> RunMapReduceSorted(
     const std::string& job_name, const std::vector<Input>& inputs,
@@ -2244,7 +2041,7 @@ std::vector<Output> RunMapReduceSorted(
 ///
 /// Both stages record their own JobStats (names `stage1_name` /
 /// `stage2_name`, group loads included); they share one ShuffleGauge and
-/// report the same fused-job peak. Determinism: like the other modes,
+/// report the same fused-job peak. Determinism: like RunMapReduceSorted,
 /// outputs are deterministic for fixed worker/partition counts; the order
 /// of values within a stage-2 run follows producer order (stage-1
 /// partitions first, then side-input map tasks), so reducers that must be

@@ -145,8 +145,8 @@ std::unique_ptr<SpillIo> MakeDefaultSpillIo();
 size_t ParseSpillBudget(const char* value);
 
 /// Test-tier budget override: the CC_SHUFFLE_SPILL_BUDGET environment
-/// variable (a record count), read once per process. When set, sorted-mode
-/// jobs whose options carry no explicit memory_budget_records run under
+/// variable (a record count), read once per process. When set, jobs
+/// whose options carry no explicit memory_budget_records run under
 /// this budget — which lets CI exercise the spill path through every
 /// existing streaming test without touching call sites. 0 when unset or
 /// unparsable.
@@ -968,8 +968,8 @@ class SpillContext {
 
 // ---- Checkpoint/restart ----------------------------------------------------
 
-/// CC_CHECKPOINT_DIR (read once per process): when set, sorted-mode jobs
-/// whose options carry no explicit checkpoint_dir *write* checkpoints
+/// CC_CHECKPOINT_DIR (read once per process): when set, jobs whose
+/// options carry no explicit checkpoint_dir *write* checkpoints
 /// there but never restore from them — a blanket env override cannot
 /// prove two runs share a corpus, so env-driven checkpointing exercises
 /// the write path (CI) without risking a stale-checkpoint reuse. Restore

@@ -58,14 +58,13 @@ std::vector<NldPair> MassJoinSelfNldImpl(
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
   // Checkpoint gating (same contract as the TSJ gate): strip the
   // engine-level dir unless the join-level switch is on; derive a zero
-  // fingerprint from the token statistics and the threshold.
+  // fingerprint from the token texts and the threshold.
   if (!options.enable_checkpointing) {
     mr_options.checkpoint_dir.clear();
   } else if (mr_options.checkpoint_fingerprint == 0) {
-    uint64_t fp = MixCheckpointFingerprint(0, tokens.size());
-    uint64_t total_bytes = 0;
-    for (const std::string& token : tokens) total_bytes += token.size();
-    fp = MixCheckpointFingerprint(fp, total_bytes);
+    uint64_t fp = MixCheckpointContent(0, tokens.size(), [&tokens](size_t i) {
+      return std::span<const std::string>(&tokens[i], 1);
+    });
     fp = MixCheckpointFingerprint(fp, static_cast<uint64_t>(threshold * 1e9));
     mr_options.checkpoint_fingerprint = fp;
   }

@@ -62,7 +62,7 @@ struct MassJoinOptions {
   /// tasks under that directory and a restarted run over the same tokens
   /// skips tasks whose checkpoint validates. A zero
   /// mapreduce.checkpoint_fingerprint is derived from the token
-  /// statistics and the threshold. Off by default: the engine-level dir
+  /// texts and the threshold. Off by default: the engine-level dir
   /// is stripped unless this is set. TSJ forwards its own switch here.
   bool enable_checkpointing = false;
 };

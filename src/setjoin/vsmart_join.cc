@@ -102,16 +102,15 @@ std::vector<VsmartPair> VsmartSelfJoinImpl(
   if (!options.enable_shuffle_spill) join_mr.memory_budget_records = 0;
   // Checkpoint gating, shared with the similarity phase below (same
   // contract as the TSJ gate): strip the engine-level dir unless the
-  // join-level switch is on; derive a zero fingerprint from the multiset
-  // statistics, the threshold and the measure.
+  // join-level switch is on; derive a zero fingerprint from the multisets'
+  // token ids, the threshold and the measure.
   uint64_t ckpt_fp = options.mapreduce.checkpoint_fingerprint;
   if (options.enable_checkpointing && ckpt_fp == 0) {
-    ckpt_fp = MixCheckpointFingerprint(0, multisets.size());
-    uint64_t total_tokens = 0;
-    for (const std::vector<uint32_t>& set : multisets) {
-      total_tokens += set.size();
-    }
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, total_tokens);
+    ckpt_fp = MixCheckpointContent(
+        0, multisets.size(),
+        [&multisets](size_t i) -> const std::vector<uint32_t>& {
+          return multisets[i];
+        });
     ckpt_fp =
         MixCheckpointFingerprint(ckpt_fp, static_cast<uint64_t>(threshold * 1e9));
     ckpt_fp = MixCheckpointFingerprint(

@@ -65,8 +65,8 @@ struct VsmartOptions {
   /// mapreduce.checkpoint_dir is set, both phases seal completed map
   /// tasks under that directory and a restarted run over the same
   /// multisets skips tasks whose checkpoint validates. A zero
-  /// mapreduce.checkpoint_fingerprint is derived from the multiset
-  /// statistics, the threshold and the measure. Off by default: the
+  /// mapreduce.checkpoint_fingerprint is derived from the multisets'
+  /// token ids, the threshold and the measure. Off by default: the
   /// engine-level dir is stripped unless this is set.
   bool enable_checkpointing = false;
 };

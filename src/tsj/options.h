@@ -85,18 +85,7 @@ struct TsjOptions {
   /// baseline (bench_ablation does).
   bool enable_token_pair_cache = true;
 
-  /// Streaming shuffle engine: candidate generation, dedup and verify run
-  /// as one fused sorted-shuffle job (RunFusedMapReduceSorted) — the
-  /// shared-token reduce and the similar-token expansion emit candidates
-  /// directly into the dedup/verify shuffle, nothing materializes the
-  /// pre-dedup candidate universe, and dedup is a scan over sorted key
-  /// runs. Lossless: byte-identical pairs, NSLD values and
-  /// candidate/filter counters. Disable to run the legacy two-job
-  /// hash-shuffle pipeline (the differential reference, and what
-  /// bench_ablation compares against).
-  bool enable_streaming_shuffle = true;
-
-  /// Shuffle combiner (streaming mode only): duplicate candidate records
+  /// Shuffle combiner: duplicate candidate records
   /// collapse inside the producing task — combine-at-sort in the emitter
   /// buckets (PartitionedEmitter::Combine) — before they cross into the
   /// dedup/verify shuffle, so a hot token's quadratic candidate fan-out
@@ -132,8 +121,7 @@ struct TsjOptions {
   /// peq_table_reuses.
   bool enable_batched_verify = true;
 
-  /// External-memory shuffle spill (mapreduce/spill.h; streaming mode
-  /// only): when enabled AND mapreduce.memory_budget_records is set, the
+  /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND mapreduce.memory_budget_records is set, the
   /// fused pipeline's jobs keep at most that many shuffle records
   /// resident, flushing over-budget partition buckets to disk as sorted
   /// (and combined) runs and driving the dedup/verify reducers from a
@@ -157,9 +145,9 @@ struct TsjOptions {
   /// run over the same corpus skips tasks whose checkpoint validates —
   /// byte-identical results, counted in TsjRunInfo::tasks_checkpointed /
   /// tasks_skipped_by_checkpoint. When mapreduce.checkpoint_fingerprint
-  /// is 0 the run derives one from the corpus statistics and join
-  /// parameters, so a dir accidentally reused across different inputs
-  /// invalidates instead of corrupting. Off by default: the engine-level
+  /// is 0 the run derives one from the corpus content (every string's
+  /// token texts, in order) and the join parameters, so a dir reused
+  /// across different inputs invalidates instead of corrupting. Off by default: the engine-level
   /// dir is ignored (stripped) unless this is set, mirroring the
   /// enable_shuffle_spill gate (the CC_CHECKPOINT_DIR env override is
   /// engine-level, write-only, and bypasses this gate by design).

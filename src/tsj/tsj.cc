@@ -18,15 +18,12 @@ namespace tsj {
 
 namespace {
 
-// A pre-dedup candidate record flowing into the dedup/verify job: either a
-// string-id pair from the shared-token pass, or a similar-token pair still
-// to be expanded against the token postings. The streaming pipeline only
-// ever materializes the similar-token form (shared-token pairs stream
+// A similar-token pair still to be expanded against the token postings:
+// the side input of the dedup/verify stage (shared-token pairs stream
 // straight from the generating reduce into the dedup shuffle).
 struct RawCandidate {
   uint32_t a = 0;
   uint32_t b = 0;
-  bool is_token_pair = false;
 };
 
 // Key choice of the grouping-on-one-string strategy (Sec. III-G.3): for a
@@ -164,22 +161,6 @@ TokenPairCache* SelectPairCache(const TsjOptions& options,
              : local;
 }
 
-// Length-sorted candidate batching: one reduce group verifies its
-// candidates in ascending aggregate-length order (ids break ties for
-// determinism), so consecutive bigraphs have similar dimensions and the
-// verify scratch, DP rows and cache lines stay resident instead of being
-// resized around by a random length sequence.
-template <typename LengthOf>
-void SortByAggregateLength(std::span<uint32_t> ids,
-                           const LengthOf& length_of) {
-  std::sort(ids.begin(), ids.end(), [&](uint32_t p, uint32_t q) {
-    const size_t lp = length_of(p);
-    const size_t lq = length_of(q);
-    if (lp != lq) return lp < lq;
-    return p < q;
-  });
-}
-
 // Sorts a reduce group's value run in place, dedups it, and returns the
 // distinct prefix — the sorted-run grouping's dedup is this scan (the
 // paper uses a hash set; sorting gives identical semantics and
@@ -191,56 +172,148 @@ std::span<uint32_t> DedupRun(std::span<uint32_t> others) {
   return others.first(distinct);
 }
 
+// The engine options of one run: the run's shuffle gauge threaded through
+// every job, and the spill budget and checkpoint dir stripped unless their
+// join-level switches are on (the CC_SHUFFLE_SPILL_BUDGET and
+// CC_CHECKPOINT_DIR overrides are engine-level and bypass these gates by
+// design). When checkpointing with no caller fingerprint, the run derives
+// one from the input content (`mix_content` folds the corpora in) and the
+// join parameters, so a restart restores checkpoints only when they were
+// written for this exact input and configuration.
+template <typename MixContent>
+MapReduceOptions RunMapReduceOptions(const TsjOptions& options,
+                                     ShuffleGauge* gauge,
+                                     const MixContent& mix_content) {
+  MapReduceOptions mr = options.mapreduce;
+  mr.shuffle_gauge = gauge;
+  if (!options.enable_shuffle_spill) mr.memory_budget_records = 0;
+  if (!options.enable_checkpointing) {
+    mr.checkpoint_dir.clear();
+  } else if (mr.checkpoint_fingerprint == 0) {
+    uint64_t fp = mix_content(0);
+    fp = MixCheckpointFingerprint(
+        fp, static_cast<uint64_t>(options.threshold * 1e9));
+    fp = MixCheckpointFingerprint(fp, options.max_token_frequency);
+    mr.checkpoint_fingerprint = fp;
+  }
+  return mr;
+}
+
+// Folds a corpus's token texts, string by string, into a fingerprint.
+uint64_t MixCorpusContent(uint64_t h, const Corpus& corpus) {
+  return MixCheckpointContent(h, corpus.size(), [&corpus](size_t s) {
+    return corpus.Materialize(static_cast<StringId>(s));
+  });
+}
+
+// Token-pair-cache traffic at one instant (all zero without a cache). A
+// run reports end minus start, so a caller-shared warm cache shows only
+// this run's traffic.
+struct CacheTraffic {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t l1_hits = 0;
+  uint64_t l1_misses = 0;
+  uint64_t flush_batches = 0;
+  uint64_t flushed_records = 0;
+
+  static CacheTraffic Of(const TokenPairCache* cache) {
+    if (cache == nullptr) return {};
+    return {cache->hits(),          cache->misses(),
+            cache->l1_hits(),       cache->l1_misses(),
+            cache->flush_batches(), cache->flushed_records()};
+  }
+};
+
+// The bookkeeping SelfJoin and Join share: the pipeline counters, the
+// pipeline-wide shuffle gauge (threaded through every job of the run and
+// the side-input vector, so TsjRunInfo reports the peak of
+// shuffle-resident records), and the cache traffic at run start.
+struct RunLedger {
+  explicit RunLedger(TokenPairCache* pair_cache)
+      : cache(pair_cache), cache_before(CacheTraffic::Of(pair_cache)) {}
+
+  // Copies the counters, this run's cache traffic, the pipeline totals and
+  // the shuffle peak into `*run`, hands it to `info`, and returns
+  // `results`. Lossy spill faults (a failed run read aborted a merge, so
+  // records may be missing) and fatal task errors (a job aborted, outputs
+  // incomplete) fail the join with their root cause instead. Degraded
+  // spill writes and retried-and-absorbed task faults are not errors:
+  // their results are complete, and they stay visible through the
+  // per-job JobStats and the task counters.
+  StatusOr<std::vector<TsjPair>> Finish(std::vector<TsjPair> results,
+                                        TsjRunInfo* run,
+                                        TsjRunInfo* info) const {
+    run->shared_token_candidates = counters.shared_token_candidates;
+    run->similar_token_candidates = counters.similar_token_candidates;
+    run->distinct_candidates = counters.distinct_candidates;
+    run->length_filtered = counters.length_filtered;
+    run->histogram_filtered = counters.histogram_filtered;
+    run->verified_candidates = counters.verified_candidates;
+    run->verify_work_units = counters.verify_work_units;
+    run->batched_verify_calls = counters.batched_verify_calls;
+    run->batched_verify_lanes_filled = counters.batched_verify_lanes_filled;
+    run->batched_verify_lane_slots = counters.batched_verify_lane_slots;
+    run->peq_table_reuses = counters.peq_table_reuses;
+    const CacheTraffic after = CacheTraffic::Of(cache);
+    run->token_pair_cache_hits = after.hits - cache_before.hits;
+    run->token_pair_cache_misses = after.misses - cache_before.misses;
+    run->token_pair_cache_l1_hits = after.l1_hits - cache_before.l1_hits;
+    run->token_pair_cache_l1_misses =
+        after.l1_misses - cache_before.l1_misses;
+    run->token_pair_cache_flush_batches =
+        after.flush_batches - cache_before.flush_batches;
+    run->token_pair_cache_flushed_records =
+        after.flushed_records - cache_before.flushed_records;
+    const PipelineStats& pipeline = run->pipeline;
+    run->combiner_input_records = pipeline.total_combiner_input_records();
+    run->combiner_output_records = pipeline.total_combiner_output_records();
+    run->spilled_records = pipeline.total_spilled_records();
+    run->spill_files = pipeline.total_spill_files();
+    run->spill_bytes = pipeline.total_spill_bytes();
+    run->spill_raw_bytes = pipeline.total_spill_raw_bytes();
+    run->merge_passes = pipeline.total_merge_passes();
+    run->checksum_failures = pipeline.total_checksum_failures();
+    run->prefetch_hits = pipeline.total_prefetch_hits();
+    run->peak_resident_records = pipeline.max_peak_resident_records();
+    run->task_failures = pipeline.total_task_failures();
+    run->task_retries = pipeline.total_task_retries();
+    run->tasks_cancelled = pipeline.total_tasks_cancelled();
+    run->tasks_degraded = pipeline.total_tasks_degraded();
+    run->tasks_checkpointed = pipeline.total_tasks_checkpointed();
+    run->tasks_skipped_by_checkpoint =
+        pipeline.total_tasks_skipped_by_checkpoint();
+    run->hedges_launched = pipeline.total_hedges_launched();
+    run->hedges_won = pipeline.total_hedges_won();
+    run->result_pairs = results.size();
+    run->peak_shuffle_records = gauge.peak();
+    Status status = pipeline.first_spill_data_loss();
+    if (status.ok()) status = pipeline.first_task_error();
+    if (info != nullptr) *info = std::move(*run);
+    if (!status.ok()) return status;
+    return results;
+  }
+
+  Counters counters;
+  ShuffleGauge gauge;
+  TokenPairCache* const cache;
+  const CacheTraffic cache_before;
+};
+
 }  // namespace
 
 StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     const Corpus& corpus, TsjRunInfo* info) const {
   if (Status s = options_.Validate(); !s.ok()) return s;
   TsjRunInfo local_info;
-  Counters counters;
   const double t = options_.threshold;
   TokenPairCache local_cache;
   TokenPairCache* const pair_cache = SelectPairCache(options_, &local_cache);
-  const uint64_t cache_hits_before =
-      pair_cache != nullptr ? pair_cache->hits() : 0;
-  const uint64_t cache_misses_before =
-      pair_cache != nullptr ? pair_cache->misses() : 0;
-  const uint64_t cache_l1_hits_before =
-      pair_cache != nullptr ? pair_cache->l1_hits() : 0;
-  const uint64_t cache_l1_misses_before =
-      pair_cache != nullptr ? pair_cache->l1_misses() : 0;
-  const uint64_t cache_flush_batches_before =
-      pair_cache != nullptr ? pair_cache->flush_batches() : 0;
-  const uint64_t cache_flushed_records_before =
-      pair_cache != nullptr ? pair_cache->flushed_records() : 0;
-  // One gauge threads through every job of the run (and the candidate
-  // vectors between jobs), so TsjRunInfo reports the pipeline-wide peak of
-  // shuffle-resident records.
-  ShuffleGauge gauge;
-  MapReduceOptions mr_options = options_.mapreduce;
-  mr_options.shuffle_gauge = &gauge;
-  // Spill gating: the engine-level budget applies only when the
-  // join-level switch is on (the CC_SHUFFLE_SPILL_BUDGET test override
-  // is engine-level and bypasses this gate by design).
-  if (!options_.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  // Checkpoint gating mirrors spill gating. When armed and the caller
-  // supplied no fingerprint, derive one from the corpus statistics and
-  // the join parameters, so a restart restores checkpoints only when
-  // they were written for this exact input and configuration.
-  if (!options_.enable_checkpointing) {
-    mr_options.checkpoint_dir.clear();
-  } else if (mr_options.checkpoint_fingerprint == 0) {
-    uint64_t fp = MixCheckpointFingerprint(0, corpus.size());
-    fp = MixCheckpointFingerprint(fp, corpus.num_distinct_tokens());
-    size_t total_token_occurrences = 0;
-    for (uint32_t s = 0; s < corpus.size(); ++s) {
-      total_token_occurrences += corpus.tokens(s).size();
-    }
-    fp = MixCheckpointFingerprint(fp, total_token_occurrences);
-    fp = MixCheckpointFingerprint(fp, static_cast<uint64_t>(t * 1e9));
-    fp = MixCheckpointFingerprint(fp, options_.max_token_frequency);
-    mr_options.checkpoint_fingerprint = fp;
-  }
+  RunLedger ledger(pair_cache);
+  Counters& counters = ledger.counters;
+  MapReduceOptions mr_options = RunMapReduceOptions(
+      options_, &ledger.gauge,
+      [&corpus](uint64_t h) { return MixCorpusContent(h, corpus); });
 
   // ---- Token statistics: frequencies and the high-frequency cutoff. ----
   const std::vector<uint32_t> frequency =
@@ -330,9 +403,8 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
-      token_pair_candidates.push_back(RawCandidate{token_of_index[pair.a],
-                                                   token_of_index[pair.b],
-                                                   /*is_token_pair=*/true});
+      token_pair_candidates.push_back(
+          RawCandidate{token_of_index[pair.a], token_of_index[pair.b]});
     }
   }
 
@@ -369,319 +441,134 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
   };
 
-  const Corpus& corpus_ref = corpus;
-  const TsjOptions& options_ref = options_;
-
   // Partition-task boundary: fully drain the verify worker's deferred
   // cache upserts, so everything this run computed reaches the shared
   // tier by job end even when no group-level batch ever filled. Set here
   // — after massjoin captured its own copy of mr_options — so only the
-  // dedup/verify jobs run it.
+  // dedup/verify job runs it.
   if (pair_cache != nullptr) {
     mr_options.reduce_partition_epilogue = [pair_cache] {
       VerifyScratch().l1.Flush(pair_cache);
     };
   }
 
-  // One grouping-on-one-string dedup+verify body for both engine modes
-  // (the legacy reducer adapts its vector to a span): keeping a single
-  // copy is what makes the legacy path a trustworthy differential
-  // reference for the streaming one.
-  auto verify_one_string_group = [&corpus_ref, &options_ref, &counters,
-                                  pair_cache](const uint32_t& key,
-                                              std::span<uint32_t> others,
-                                              std::vector<TsjPair>* out) {
-    AddWorkUnits(others.size());
-    const std::span<uint32_t> distinct = DedupRun(others);
-    counters.distinct_candidates.fetch_add(distinct.size(),
-                                           std::memory_order_relaxed);
-    SortByAggregateLength(distinct, [&](uint32_t s) {
-      return corpus_ref.aggregate_length(s);
-    });
-    for (uint32_t other : distinct) {
-      FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
-                      pair_cache, std::min(key, other), std::max(key, other),
-                      out);
-    }
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+  // ---- Fused pipeline: candidate generation streams into the dedup/verify
+  // shuffle; the pre-dedup candidate universe is never materialized. The
+  // similar-token pairs ride along as side inputs.
+  auto map_tokens = [&](const uint32_t& s,
+                        PartitionedEmitter<uint32_t, uint32_t>* out) {
+    for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
   };
-  // Likewise for grouping-on-both-strings: one distinct pair per group.
-  auto verify_pair_group = [&corpus_ref, &options_ref, &counters, pair_cache](
-                               const std::pair<uint32_t, uint32_t>& key,
-                               size_t duplicates, std::vector<TsjPair>* out) {
-    counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
-    AddWorkUnits(duplicates);  // duplicate copies read and discarded
-    FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
-                    pair_cache, key.first, key.second, out);
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+  // Emits every unordered pair of one token's strings straight into the
+  // dedup shuffle (Sec. III-C's reduce, fused with the dedup job's map).
+  auto pair_count = [&counters](size_t group) {
+    const uint64_t pairs = static_cast<uint64_t>(group) * (group - 1) / 2;
+    AddWorkUnits(pairs);
+    counters.shared_token_candidates.fetch_add(pairs,
+                                               std::memory_order_relaxed);
   };
 
-  if (options_.enable_streaming_shuffle) {
-    // ---- Fused streaming pipeline: candidate generation streams into the
-    // dedup/verify shuffle; the pre-dedup candidate universe is never
-    // materialized. The similar-token pairs ride along as side inputs.
-    auto map_tokens = [&](const uint32_t& s,
-                          PartitionedEmitter<uint32_t, uint32_t>* out) {
-      for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
-    };
-    // Emits every unordered pair of one token's strings straight into the
-    // dedup shuffle (Sec. III-C's reduce, fused with Job 2's map).
-    auto pair_count = [&counters](size_t group) {
-      const uint64_t pairs =
-          static_cast<uint64_t>(group) * (group - 1) / 2;
-      AddWorkUnits(pairs);
-      counters.shared_token_candidates.fetch_add(pairs,
-                                                 std::memory_order_relaxed);
-    };
-
-    JobStats stage1_stats, stage2_stats;
-    gauge.Add(token_pair_candidates.size());  // side-input vector
-    std::vector<TsjPair> streamed;
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint32_t> strings,
-                               PartitionedEmitter<PairKey, char>* out) {
-        pair_count(strings.size());
-        for (size_t i = 0; i < strings.size(); ++i) {
-          for (size_t j = i + 1; j < strings.size(); ++j) {
-            const uint32_t a = std::min(strings[i], strings[j]);
-            const uint32_t b = std::max(strings[i], strings[j]);
-            out->Emit(PairKey{a, b}, 0);
-          }
-        }
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<PairKey, char>* out) {
-        expand_token_pair(cand, [&](uint32_t a, uint32_t b) {
+  JobStats stage1_stats, stage2_stats;
+  ledger.gauge.Add(token_pair_candidates.size());  // side-input vector
+  std::vector<TsjPair> streamed;
+  if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
+    using PairKey = std::pair<uint32_t, uint32_t>;
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint32_t> strings,
+                             PartitionedEmitter<PairKey, char>* out) {
+      pair_count(strings.size());
+      for (size_t i = 0; i < strings.size(); ++i) {
+        for (size_t j = i + 1; j < strings.size(); ++j) {
+          const uint32_t a = std::min(strings[i], strings[j]);
+          const uint32_t b = std::max(strings[i], strings[j]);
           out->Emit(PairKey{a, b}, 0);
-        });
-      };
-      auto reduce_verify = [&verify_pair_group](const PairKey& key,
-                                                std::span<char> values,
-                                                std::vector<TsjPair>* out) {
-        verify_pair_group(key, values.size(), out);
-      };
-      // Shuffle combiner: duplicate copies of one pair collapse inside
-      // the producing task (the reducer treats the run length only as a
-      // duplicate tally).
-      const CombinerFn<PairKey, char> combine_duplicates =
-          options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
-                                           : nullptr;
-      streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
-                                         RawCandidate, PairKey, char,
-                                         TsjPair>(
-          "tsj-shared-token", "tsj-dedup-verify-both", string_ids, map_tokens,
-          reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-          mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
-    } else {
-      auto emit_keyed = [](uint32_t a, uint32_t b,
-                           PartitionedEmitter<uint32_t, uint32_t>* out) {
-        const uint32_t key = PickGroupKey(a, b);
-        out->Emit(key, key == a ? b : a);
-      };
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint32_t> strings,
-                               PartitionedEmitter<uint32_t, uint32_t>* out) {
-        pair_count(strings.size());
-        for (size_t i = 0; i < strings.size(); ++i) {
-          for (size_t j = i + 1; j < strings.size(); ++j) {
-            emit_keyed(std::min(strings[i], strings[j]),
-                       std::max(strings[i], strings[j]), out);
-          }
         }
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<uint32_t, uint32_t>* out) {
-        expand_token_pair(
-            cand, [&](uint32_t a, uint32_t b) { emit_keyed(a, b, out); });
-      };
-      auto reduce_verify = [&verify_one_string_group](
-                               const uint32_t& key, std::span<uint32_t> others,
-                               std::vector<TsjPair>* out) {
-        verify_one_string_group(key, others, out);
-      };
-      // Shuffle combiner: one string's candidate list dedups inside the
-      // producing task (sort + unique, the same scan DedupRun finishes
-      // across producers at the reducer).
-      const CombinerFn<uint32_t, uint32_t> combine_duplicates =
-          options_.enable_shuffle_combiner
-              ? SortUniqueCombiner<uint32_t, uint32_t>()
-              : nullptr;
-      streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
-                                         RawCandidate, uint32_t, uint32_t,
-                                         TsjPair>(
-          "tsj-shared-token", "tsj-dedup-verify-one", string_ids, map_tokens,
-          reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-          mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
-    }
-    gauge.Sub(token_pair_candidates.size());
-    results.insert(results.end(), streamed.begin(), streamed.end());
-    local_info.shared_token_candidates = counters.shared_token_candidates;
-    local_info.pipeline.Add(std::move(stage1_stats));
-    local_info.pipeline.Append(mass_stats);
-    local_info.pipeline.Add(std::move(stage2_stats));
+      }
+    };
+    auto map_expand = [&](const RawCandidate& cand,
+                          PartitionedEmitter<PairKey, char>* out) {
+      expand_token_pair(cand, [&](uint32_t a, uint32_t b) {
+        out->Emit(PairKey{a, b}, 0);
+      });
+    };
+    // Grouping-on-both-strings: one distinct pair per group.
+    auto reduce_verify = [&](const PairKey& key, std::span<char> values,
+                             std::vector<TsjPair>* out) {
+      counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
+      AddWorkUnits(values.size());  // duplicate copies read and discarded
+      FilterAndVerify(corpus, corpus, options_, &counters, pair_cache,
+                      key.first, key.second, out);
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
+    };
+    // Shuffle combiner: duplicate copies of one pair collapse inside the
+    // producing task (the reducer treats the run length only as a
+    // duplicate tally).
+    const CombinerFn<PairKey, char> combine_duplicates =
+        options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
+                                         : nullptr;
+    streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
+                                       RawCandidate, PairKey, char, TsjPair>(
+        "tsj-shared-token", "tsj-dedup-verify-both", string_ids, map_tokens,
+        reduce_shared, token_pair_candidates, map_expand, reduce_verify,
+        mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   } else {
-    // ---- Legacy two-job pipeline (the differential reference). ----------
-    // Job 1 materializes the pre-dedup candidate universe; Job 2 expands,
-    // scatters, groups per key, and verifies.
-    auto map_tokens = [&](const uint32_t& s,
-                          Emitter<uint32_t, uint32_t>* out) {
-      for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
+    auto emit_keyed = [](uint32_t a, uint32_t b,
+                         PartitionedEmitter<uint32_t, uint32_t>* out) {
+      const uint32_t key = PickGroupKey(a, b);
+      out->Emit(key, key == a ? b : a);
     };
-    auto reduce_shared = [](const uint32_t& /*token*/,
-                            std::vector<uint32_t>* strings,
-                            std::vector<RawCandidate>* out) {
-      const uint64_t pairs = strings->size() * (strings->size() - 1) / 2;
-      AddWorkUnits(pairs);
-      out->reserve(out->size() + pairs);
-      for (size_t i = 0; i < strings->size(); ++i) {
-        for (size_t j = i + 1; j < strings->size(); ++j) {
-          const uint32_t a = std::min((*strings)[i], (*strings)[j]);
-          const uint32_t b = std::max((*strings)[i], (*strings)[j]);
-          out->push_back(RawCandidate{a, b, /*is_token_pair=*/false});
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint32_t> strings,
+                             PartitionedEmitter<uint32_t, uint32_t>* out) {
+      pair_count(strings.size());
+      for (size_t i = 0; i < strings.size(); ++i) {
+        for (size_t j = i + 1; j < strings.size(); ++j) {
+          emit_keyed(std::min(strings[i], strings[j]),
+                     std::max(strings[i], strings[j]), out);
         }
       }
     };
-    JobStats shared_stats;
-    std::vector<RawCandidate> candidates =
-        RunMapReduce<uint32_t, uint32_t, uint32_t, RawCandidate>(
-            "tsj-shared-token", string_ids, map_tokens, reduce_shared,
-            mr_options, &shared_stats);
-    local_info.shared_token_candidates = candidates.size();
-    counters.shared_token_candidates.store(candidates.size(),
-                                           std::memory_order_relaxed);
-    local_info.pipeline.Add(std::move(shared_stats));
-    local_info.pipeline.Append(mass_stats);
-    candidates.insert(candidates.end(), token_pair_candidates.begin(),
-                      token_pair_candidates.end());
-
-    // ---- Job 2: expand + dedup + filter + verify. -----------------------
-    auto expand = [&expand_token_pair](
-                      const RawCandidate& cand,
-                      const std::function<void(uint32_t, uint32_t)>& emit) {
-      if (!cand.is_token_pair) {
-        AddWorkUnits(1);
-        emit(cand.a, cand.b);
-        return;
-      }
-      expand_token_pair(cand, emit);
+    auto map_expand = [&](const RawCandidate& cand,
+                          PartitionedEmitter<uint32_t, uint32_t>* out) {
+      expand_token_pair(cand,
+                        [&](uint32_t a, uint32_t b) { emit_keyed(a, b, out); });
     };
-
-    std::vector<TsjPair> verified;
-    JobStats verify_stats;
-    // The intermediate candidate vector is pipeline-resident while Job 2's
-    // map re-emits every record: the co-residency the fused mode removes.
-    gauge.Add(candidates.size());
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto map_fn = [&expand](const RawCandidate& cand,
-                              Emitter<PairKey, char>* out) {
-        expand(cand,
-               [&](uint32_t a, uint32_t b) { out->Emit(PairKey{a, b}, 0); });
-      };
-      auto reduce_fn = [&verify_pair_group](const PairKey& key,
-                                            std::vector<char>* values,
-                                            std::vector<TsjPair>* out) {
-        verify_pair_group(key, values->size(), out);
-      };
-      verified = RunMapReduce<RawCandidate, PairKey, char, TsjPair>(
-          "tsj-dedup-verify-both", candidates, map_fn, reduce_fn, mr_options,
-          &verify_stats);
-    } else {
-      auto map_fn = [&expand](const RawCandidate& cand,
-                              Emitter<uint32_t, uint32_t>* out) {
-        expand(cand, [&](uint32_t a, uint32_t b) {
-          const uint32_t key = PickGroupKey(a, b);
-          out->Emit(key, key == a ? b : a);
-        });
-      };
-      auto reduce_fn = [&verify_one_string_group](
-                           const uint32_t& key, std::vector<uint32_t>* others,
-                           std::vector<TsjPair>* out) {
-        verify_one_string_group(key, std::span<uint32_t>(*others), out);
-      };
-      verified = RunMapReduce<RawCandidate, uint32_t, uint32_t, TsjPair>(
-          "tsj-dedup-verify-one", candidates, map_fn, reduce_fn, mr_options,
-          &verify_stats);
-    }
-    gauge.Sub(candidates.size());
-    results.insert(results.end(), verified.begin(), verified.end());
-    local_info.pipeline.Add(std::move(verify_stats));
+    // Grouping-on-one-string: the reducer dedups and verifies all of the
+    // key string's candidates.
+    auto reduce_verify = [&](const uint32_t& key, std::span<uint32_t> others,
+                             std::vector<TsjPair>* out) {
+      AddWorkUnits(others.size());
+      const std::span<uint32_t> distinct = DedupRun(others);
+      counters.distinct_candidates.fetch_add(distinct.size(),
+                                             std::memory_order_relaxed);
+      for (uint32_t other : distinct) {
+        FilterAndVerify(corpus, corpus, options_, &counters, pair_cache,
+                        std::min(key, other), std::max(key, other), out);
+      }
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
+    };
+    // Shuffle combiner: one string's candidate list dedups inside the
+    // producing task (sort + unique, the same scan DedupRun finishes
+    // across producers at the reducer).
+    const CombinerFn<uint32_t, uint32_t> combine_duplicates =
+        options_.enable_shuffle_combiner
+            ? SortUniqueCombiner<uint32_t, uint32_t>()
+            : nullptr;
+    streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
+                                       RawCandidate, uint32_t, uint32_t,
+                                       TsjPair>(
+        "tsj-shared-token", "tsj-dedup-verify-one", string_ids, map_tokens,
+        reduce_shared, token_pair_candidates, map_expand, reduce_verify,
+        mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   }
-
-  local_info.similar_token_candidates = counters.similar_token_candidates;
-  local_info.distinct_candidates = counters.distinct_candidates;
-  local_info.length_filtered = counters.length_filtered;
-  local_info.histogram_filtered = counters.histogram_filtered;
-  local_info.verified_candidates = counters.verified_candidates;
-  local_info.verify_work_units = counters.verify_work_units;
-  local_info.batched_verify_calls = counters.batched_verify_calls;
-  local_info.batched_verify_lanes_filled = counters.batched_verify_lanes_filled;
-  local_info.batched_verify_lane_slots = counters.batched_verify_lane_slots;
-  local_info.peq_table_reuses = counters.peq_table_reuses;
-  if (pair_cache != nullptr) {
-    // Deltas, so a caller-shared warm cache reports this run's traffic.
-    local_info.token_pair_cache_hits = pair_cache->hits() - cache_hits_before;
-    local_info.token_pair_cache_misses =
-        pair_cache->misses() - cache_misses_before;
-    local_info.token_pair_cache_l1_hits =
-        pair_cache->l1_hits() - cache_l1_hits_before;
-    local_info.token_pair_cache_l1_misses =
-        pair_cache->l1_misses() - cache_l1_misses_before;
-    local_info.token_pair_cache_flush_batches =
-        pair_cache->flush_batches() - cache_flush_batches_before;
-    local_info.token_pair_cache_flushed_records =
-        pair_cache->flushed_records() - cache_flushed_records_before;
-  }
-  local_info.combiner_input_records =
-      local_info.pipeline.total_combiner_input_records();
-  local_info.combiner_output_records =
-      local_info.pipeline.total_combiner_output_records();
-  local_info.spilled_records = local_info.pipeline.total_spilled_records();
-  local_info.spill_files = local_info.pipeline.total_spill_files();
-  local_info.spill_bytes = local_info.pipeline.total_spill_bytes();
-  local_info.spill_raw_bytes =
-      local_info.pipeline.total_spill_raw_bytes();
-  local_info.merge_passes = local_info.pipeline.total_merge_passes();
-  local_info.checksum_failures =
-      local_info.pipeline.total_checksum_failures();
-  local_info.prefetch_hits = local_info.pipeline.total_prefetch_hits();
-  local_info.peak_resident_records =
-      local_info.pipeline.max_peak_resident_records();
-  local_info.task_failures = local_info.pipeline.total_task_failures();
-  local_info.task_retries = local_info.pipeline.total_task_retries();
-  local_info.tasks_cancelled =
-      local_info.pipeline.total_tasks_cancelled();
-  local_info.tasks_degraded = local_info.pipeline.total_tasks_degraded();
-  local_info.tasks_checkpointed =
-      local_info.pipeline.total_tasks_checkpointed();
-  local_info.tasks_skipped_by_checkpoint =
-      local_info.pipeline.total_tasks_skipped_by_checkpoint();
-  local_info.hedges_launched = local_info.pipeline.total_hedges_launched();
-  local_info.hedges_won = local_info.pipeline.total_hedges_won();
-  local_info.result_pairs = results.size();
-  local_info.peak_shuffle_records = gauge.peak();
-  // Lossy spill faults (failed run reads: a partition's merge aborted,
-  // records may be missing) become the join's error. Degraded write
-  // faults are deliberately NOT an error — their records stayed in
-  // memory and the result is complete; they remain visible through the
-  // per-job JobStats::spill_status entries in the pipeline.
-  if (Status s = local_info.pipeline.first_spill_data_loss(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
-  // A fatal task error aborted a job (outputs incomplete): fail the join
-  // with the root cause. Retryable faults a retry absorbed are not
-  // errors — they are visible through the task counters only.
-  if (Status s = local_info.pipeline.first_task_error(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
-  if (info != nullptr) *info = std::move(local_info);
-  return results;
+  ledger.gauge.Sub(token_pair_candidates.size());
+  results.insert(results.end(), streamed.begin(), streamed.end());
+  local_info.pipeline.Add(std::move(stage1_stats));
+  local_info.pipeline.Append(mass_stats);
+  local_info.pipeline.Add(std::move(stage2_stats));
+  return ledger.Finish(std::move(results), &local_info, info);
 }
 
 namespace {
@@ -711,7 +598,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     const Corpus& r_corpus, const Corpus& p_corpus, TsjRunInfo* info) const {
   if (Status s = options_.Validate(); !s.ok()) return s;
   TsjRunInfo local_info;
-  Counters counters;
   const double t = options_.threshold;
   // The id-space-sharing precondition of the cache only holds when both
   // sides are literally the same corpus (then Join degenerates to the
@@ -721,44 +607,12 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   TokenPairCache* const pair_cache =
       (&r_corpus == &p_corpus) ? SelectPairCache(options_, &local_cache)
                                : nullptr;
-  const uint64_t cache_hits_before =
-      pair_cache != nullptr ? pair_cache->hits() : 0;
-  const uint64_t cache_misses_before =
-      pair_cache != nullptr ? pair_cache->misses() : 0;
-  const uint64_t cache_l1_hits_before =
-      pair_cache != nullptr ? pair_cache->l1_hits() : 0;
-  const uint64_t cache_l1_misses_before =
-      pair_cache != nullptr ? pair_cache->l1_misses() : 0;
-  const uint64_t cache_flush_batches_before =
-      pair_cache != nullptr ? pair_cache->flush_batches() : 0;
-  const uint64_t cache_flushed_records_before =
-      pair_cache != nullptr ? pair_cache->flushed_records() : 0;
-  ShuffleGauge gauge;
-  MapReduceOptions mr_options = options_.mapreduce;
-  mr_options.shuffle_gauge = &gauge;
-  // Spill gating, as in SelfJoin.
-  if (!options_.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  // Checkpoint gating, as in SelfJoin, with both corpora folded into the
-  // derived fingerprint.
-  if (!options_.enable_checkpointing) {
-    mr_options.checkpoint_dir.clear();
-  } else if (mr_options.checkpoint_fingerprint == 0) {
-    uint64_t fp = MixCheckpointFingerprint(0, r_corpus.size());
-    fp = MixCheckpointFingerprint(fp, r_corpus.num_distinct_tokens());
-    fp = MixCheckpointFingerprint(fp, p_corpus.size());
-    fp = MixCheckpointFingerprint(fp, p_corpus.num_distinct_tokens());
-    size_t total_token_occurrences = 0;
-    for (uint32_t s = 0; s < r_corpus.size(); ++s) {
-      total_token_occurrences += r_corpus.tokens(s).size();
-    }
-    for (uint32_t s = 0; s < p_corpus.size(); ++s) {
-      total_token_occurrences += p_corpus.tokens(s).size();
-    }
-    fp = MixCheckpointFingerprint(fp, total_token_occurrences);
-    fp = MixCheckpointFingerprint(fp, static_cast<uint64_t>(t * 1e9));
-    fp = MixCheckpointFingerprint(fp, options_.max_token_frequency);
-    mr_options.checkpoint_fingerprint = fp;
-  }
+  RunLedger ledger(pair_cache);
+  Counters& counters = ledger.counters;
+  MapReduceOptions mr_options = RunMapReduceOptions(
+      options_, &ledger.gauge, [&r_corpus, &p_corpus](uint64_t h) {
+        return MixCorpusContent(MixCorpusContent(h, r_corpus), p_corpus);
+      });
 
   // ---- Joint token space. ------------------------------------------------
   // Tokens are interned per corpus; the join needs one id space covering
@@ -872,9 +726,8 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
-      token_pair_candidates.push_back(RawCandidate{survivor_joint[pair.a],
-                                                   survivor_joint[pair.b],
-                                                   /*is_token_pair=*/true});
+      token_pair_candidates.push_back(
+          RawCandidate{survivor_joint[pair.a], survivor_joint[pair.b]});
     }
   }
 
@@ -925,9 +778,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     cross(cand.b, cand.a);
   };
 
-  const Corpus& r_ref = r_corpus;
-  const Corpus& p_ref = p_corpus;
-
   // Partition-task boundary: fully drain the verify worker's deferred
   // cache upserts (see SelfJoin; set after massjoin captured its copy).
   if (pair_cache != nullptr) {
@@ -936,303 +786,126 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     };
   }
 
-  // Shared dedup+verify bodies for both engine modes (see SelfJoin): the
-  // legacy reducers adapt their vectors to spans, so the differential
-  // reference and the streaming path execute the same verification code.
-  auto verify_one_string_group = [&](const uint64_t& key,
-                                     std::span<uint32_t> others,
-                                     std::vector<TsjPair>* out) {
-    AddWorkUnits(others.size());
-    const std::span<uint32_t> distinct = DedupRun(others);
-    counters.distinct_candidates.fetch_add(distinct.size(),
-                                           std::memory_order_relaxed);
-    const bool key_is_p = TagIsP(key);
-    const uint32_t key_id = TagStringId(key);
-    // Length-sorted batching: `others` all come from the collection
-    // opposite the key.
-    const Corpus& other_corpus = key_is_p ? r_ref : p_ref;
-    SortByAggregateLength(distinct, [&](uint32_t s) {
-      return other_corpus.aggregate_length(s);
-    });
-    for (uint32_t other : distinct) {
-      const uint32_t r = key_is_p ? other : key_id;
-      const uint32_t p = key_is_p ? key_id : other;
-      FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache, r, p,
-                      out);
-    }
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+  // ---- Fused pipeline (two-collection form). ------------------------------
+  auto map_tokens = [&](const uint64_t& tagged,
+                        PartitionedEmitter<uint32_t, uint64_t>* out) {
+    const bool is_p = TagIsP(tagged);
+    const uint32_t s = TagStringId(tagged);
+    const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
+                            : distinct_joint(r_corpus, r_joint, s);
+    AddWorkUnits(1 + joint.size());
+    for (uint32_t j : joint) out->Emit(j, tagged);
   };
-  auto verify_pair_group = [&](const std::pair<uint32_t, uint32_t>& key,
-                               size_t duplicates, std::vector<TsjPair>* out) {
-    counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
-    AddWorkUnits(duplicates);
-    FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache, key.first,
-                    key.second, out);
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
-  };
-
-  if (options_.enable_streaming_shuffle) {
-    // ---- Fused streaming pipeline (two-collection form). ----------------
-    auto map_tokens = [&](const uint64_t& tagged,
-                          PartitionedEmitter<uint32_t, uint64_t>* out) {
-      const bool is_p = TagIsP(tagged);
-      const uint32_t s = TagStringId(tagged);
-      const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
-                              : distinct_joint(r_corpus, r_joint, s);
-      AddWorkUnits(1 + joint.size());
-      for (uint32_t j : joint) out->Emit(j, tagged);
-    };
-    // Cross product of the R-side and P-side strings sharing this token
-    // (the reduce of Sec. III-C in its two-collection form), streamed
-    // straight into the dedup shuffle.
-    auto for_each_cross = [&counters](std::span<uint64_t> values,
-                                      const auto& emit) {
-      uint64_t pairs = 0;
-      for (uint64_t tagged_r : values) {
-        if (TagIsP(tagged_r)) continue;
-        for (uint64_t tagged_p : values) {
-          if (!TagIsP(tagged_p)) continue;
-          emit(TagStringId(tagged_r), TagStringId(tagged_p));
-          ++pairs;
-        }
+  // Cross product of the R-side and P-side strings sharing this token (the
+  // reduce of Sec. III-C in its two-collection form), streamed straight
+  // into the dedup shuffle.
+  auto for_each_cross = [&counters](std::span<uint64_t> values,
+                                    const auto& emit) {
+    uint64_t pairs = 0;
+    for (uint64_t tagged_r : values) {
+      if (TagIsP(tagged_r)) continue;
+      for (uint64_t tagged_p : values) {
+        if (!TagIsP(tagged_p)) continue;
+        emit(TagStringId(tagged_r), TagStringId(tagged_p));
+        ++pairs;
       }
-      AddWorkUnits(values.size() + pairs);
-      counters.shared_token_candidates.fetch_add(pairs,
-                                                 std::memory_order_relaxed);
-    };
-
-    JobStats stage1_stats, stage2_stats;
-    gauge.Add(token_pair_candidates.size());  // side-input vector
-    std::vector<TsjPair> streamed;
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint64_t> values,
-                               PartitionedEmitter<PairKey, char>* out) {
-        for_each_cross(values, [&](uint32_t r, uint32_t p) {
-          out->Emit(PairKey{r, p}, 0);
-        });
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<PairKey, char>* out) {
-        expand_token_pair(cand, [&](uint32_t r, uint32_t p) {
-          out->Emit(PairKey{r, p}, 0);
-        });
-      };
-      auto reduce_verify = [&](const PairKey& key, std::span<char> values,
-                               std::vector<TsjPair>* out) {
-        verify_pair_group(key, values.size(), out);
-      };
-      const CombinerFn<PairKey, char> combine_duplicates =
-          options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
-                                           : nullptr;
-      streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
-                                         RawCandidate, PairKey, char,
-                                         TsjPair>(
-          "tsj-rp-shared-token", "tsj-rp-dedup-verify-both", tagged_ids,
-          map_tokens, reduce_shared, token_pair_candidates, map_expand,
-          reduce_verify, mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
-    } else {
-      auto emit_keyed = [](uint32_t r, uint32_t p,
-                           PartitionedEmitter<uint64_t, uint32_t>* out) {
-        const uint64_t tag_r = TagId(false, r);
-        const uint64_t tag_p = TagId(true, p);
-        const bool key_is_r = KeyIsR(tag_r, tag_p);
-        out->Emit(key_is_r ? tag_r : tag_p, key_is_r ? p : r);
-      };
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint64_t> values,
-                               PartitionedEmitter<uint64_t, uint32_t>* out) {
-        for_each_cross(values, [&](uint32_t r, uint32_t p) {
-          emit_keyed(r, p, out);
-        });
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<uint64_t, uint32_t>* out) {
-        expand_token_pair(
-            cand, [&](uint32_t r, uint32_t p) { emit_keyed(r, p, out); });
-      };
-      auto reduce_verify = [&](const uint64_t& key, std::span<uint32_t> others,
-                               std::vector<TsjPair>* out) {
-        verify_one_string_group(key, others, out);
-      };
-      const CombinerFn<uint64_t, uint32_t> combine_duplicates =
-          options_.enable_shuffle_combiner
-              ? SortUniqueCombiner<uint64_t, uint32_t>()
-              : nullptr;
-      streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
-                                         RawCandidate, uint64_t, uint32_t,
-                                         TsjPair>(
-          "tsj-rp-shared-token", "tsj-rp-dedup-verify-one", tagged_ids,
-          map_tokens, reduce_shared, token_pair_candidates, map_expand,
-          reduce_verify, mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
     }
-    gauge.Sub(token_pair_candidates.size());
-    results.insert(results.end(), streamed.begin(), streamed.end());
-    local_info.shared_token_candidates = counters.shared_token_candidates;
-    local_info.pipeline.Add(std::move(stage1_stats));
-    local_info.pipeline.Append(mass_stats);
-    local_info.pipeline.Add(std::move(stage2_stats));
+    AddWorkUnits(values.size() + pairs);
+    counters.shared_token_candidates.fetch_add(pairs,
+                                               std::memory_order_relaxed);
+  };
+
+  JobStats stage1_stats, stage2_stats;
+  ledger.gauge.Add(token_pair_candidates.size());  // side-input vector
+  std::vector<TsjPair> streamed;
+  if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
+    using PairKey = std::pair<uint32_t, uint32_t>;
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint64_t> values,
+                             PartitionedEmitter<PairKey, char>* out) {
+      for_each_cross(values, [&](uint32_t r, uint32_t p) {
+        out->Emit(PairKey{r, p}, 0);
+      });
+    };
+    auto map_expand = [&](const RawCandidate& cand,
+                          PartitionedEmitter<PairKey, char>* out) {
+      expand_token_pair(cand, [&](uint32_t r, uint32_t p) {
+        out->Emit(PairKey{r, p}, 0);
+      });
+    };
+    auto reduce_verify = [&](const PairKey& key, std::span<char> values,
+                             std::vector<TsjPair>* out) {
+      counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
+      AddWorkUnits(values.size());
+      FilterAndVerify(r_corpus, p_corpus, options_, &counters, pair_cache,
+                      key.first, key.second, out);
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
+    };
+    const CombinerFn<PairKey, char> combine_duplicates =
+        options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
+                                         : nullptr;
+    streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
+                                       RawCandidate, PairKey, char, TsjPair>(
+        "tsj-rp-shared-token", "tsj-rp-dedup-verify-both", tagged_ids,
+        map_tokens, reduce_shared, token_pair_candidates, map_expand,
+        reduce_verify, mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   } else {
-    // ---- Legacy two-job pipeline (the differential reference). ----------
-    auto map_tokens = [&](const uint64_t& tagged,
-                          Emitter<uint32_t, uint64_t>* out) {
-      const bool is_p = TagIsP(tagged);
-      const uint32_t s = TagStringId(tagged);
-      const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
-                              : distinct_joint(r_corpus, r_joint, s);
-      AddWorkUnits(1 + joint.size());
-      for (uint32_t j : joint) out->Emit(j, tagged);
+    // Grouping-on-one-string over the tagged id space: the hash-balanced
+    // rule picks either the R or the P string as the reduce key.
+    auto emit_keyed = [](uint32_t r, uint32_t p,
+                         PartitionedEmitter<uint64_t, uint32_t>* out) {
+      const uint64_t tag_r = TagId(false, r);
+      const uint64_t tag_p = TagId(true, p);
+      const bool key_is_r = KeyIsR(tag_r, tag_p);
+      out->Emit(key_is_r ? tag_r : tag_p, key_is_r ? p : r);
     };
-    auto reduce_shared = [](const uint32_t& /*token*/,
-                            std::vector<uint64_t>* values,
-                            std::vector<RawCandidate>* out) {
-      // Cross product of the R-side and P-side strings sharing this token
-      // (the reduce of Sec. III-C, in its general two-collection form).
-      uint64_t pairs = 0;
-      for (uint64_t tagged_r : *values) {
-        if (TagIsP(tagged_r)) continue;
-        for (uint64_t tagged_p : *values) {
-          if (!TagIsP(tagged_p)) continue;
-          out->push_back(RawCandidate{TagStringId(tagged_r),
-                                      TagStringId(tagged_p),
-                                      /*is_token_pair=*/false});
-          ++pairs;
-        }
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint64_t> values,
+                             PartitionedEmitter<uint64_t, uint32_t>* out) {
+      for_each_cross(values,
+                     [&](uint32_t r, uint32_t p) { emit_keyed(r, p, out); });
+    };
+    auto map_expand = [&](const RawCandidate& cand,
+                          PartitionedEmitter<uint64_t, uint32_t>* out) {
+      expand_token_pair(cand,
+                        [&](uint32_t r, uint32_t p) { emit_keyed(r, p, out); });
+    };
+    // `others` all come from the collection opposite the key.
+    auto reduce_verify = [&](const uint64_t& key, std::span<uint32_t> others,
+                             std::vector<TsjPair>* out) {
+      AddWorkUnits(others.size());
+      const std::span<uint32_t> distinct = DedupRun(others);
+      counters.distinct_candidates.fetch_add(distinct.size(),
+                                             std::memory_order_relaxed);
+      const bool key_is_p = TagIsP(key);
+      const uint32_t key_id = TagStringId(key);
+      for (uint32_t other : distinct) {
+        const uint32_t r = key_is_p ? other : key_id;
+        const uint32_t p = key_is_p ? key_id : other;
+        FilterAndVerify(r_corpus, p_corpus, options_, &counters, pair_cache,
+                        r, p, out);
       }
-      AddWorkUnits(values->size() + pairs);
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
-    JobStats shared_stats;
-    std::vector<RawCandidate> candidates =
-        RunMapReduce<uint64_t, uint32_t, uint64_t, RawCandidate>(
-            "tsj-rp-shared-token", tagged_ids, map_tokens, reduce_shared,
-            mr_options, &shared_stats);
-    local_info.shared_token_candidates = candidates.size();
-    counters.shared_token_candidates.store(candidates.size(),
-                                           std::memory_order_relaxed);
-    local_info.pipeline.Add(std::move(shared_stats));
-    local_info.pipeline.Append(mass_stats);
-    candidates.insert(candidates.end(), token_pair_candidates.begin(),
-                      token_pair_candidates.end());
-
-    // ---- Job 2: expand + dedup + filter + verify. -----------------------
-    auto expand = [&](const RawCandidate& cand,
-                      const std::function<void(uint32_t, uint32_t)>& emit) {
-      if (!cand.is_token_pair) {
-        AddWorkUnits(1);
-        emit(cand.a, cand.b);
-        return;
-      }
-      expand_token_pair(cand, emit);
-    };
-
-    std::vector<TsjPair> verified;
-    JobStats verify_stats;
-    gauge.Add(candidates.size());
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto map_fn = [&expand](const RawCandidate& cand,
-                              Emitter<PairKey, char>* out) {
-        expand(cand,
-               [&](uint32_t r, uint32_t p) { out->Emit(PairKey{r, p}, 0); });
-      };
-      auto reduce_fn = [&](const PairKey& key, std::vector<char>* values,
-                           std::vector<TsjPair>* out) {
-        verify_pair_group(key, values->size(), out);
-      };
-      verified = RunMapReduce<RawCandidate, PairKey, char, TsjPair>(
-          "tsj-rp-dedup-verify-both", candidates, map_fn, reduce_fn,
-          mr_options, &verify_stats);
-    } else {
-      // grouping-on-one-string over the tagged id space: the hash-balanced
-      // rule picks either the R or the P string as the reduce key.
-      auto map_fn = [&](const RawCandidate& cand,
-                        Emitter<uint64_t, uint32_t>* out) {
-        expand(cand, [&](uint32_t r, uint32_t p) {
-          const uint64_t tag_r = TagId(false, r);
-          const uint64_t tag_p = TagId(true, p);
-          const bool key_is_r = KeyIsR(tag_r, tag_p);
-          out->Emit(key_is_r ? tag_r : tag_p, key_is_r ? p : r);
-        });
-      };
-      auto reduce_fn = [&](const uint64_t& key, std::vector<uint32_t>* others,
-                           std::vector<TsjPair>* out) {
-        verify_one_string_group(key, std::span<uint32_t>(*others), out);
-      };
-      verified = RunMapReduce<RawCandidate, uint64_t, uint32_t, TsjPair>(
-          "tsj-rp-dedup-verify-one", candidates, map_fn, reduce_fn,
-          mr_options, &verify_stats);
-    }
-    gauge.Sub(candidates.size());
-    results.insert(results.end(), verified.begin(), verified.end());
-    local_info.pipeline.Add(std::move(verify_stats));
+    const CombinerFn<uint64_t, uint32_t> combine_duplicates =
+        options_.enable_shuffle_combiner
+            ? SortUniqueCombiner<uint64_t, uint32_t>()
+            : nullptr;
+    streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
+                                       RawCandidate, uint64_t, uint32_t,
+                                       TsjPair>(
+        "tsj-rp-shared-token", "tsj-rp-dedup-verify-one", tagged_ids,
+        map_tokens, reduce_shared, token_pair_candidates, map_expand,
+        reduce_verify, mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   }
-
-  local_info.similar_token_candidates = counters.similar_token_candidates;
-  local_info.distinct_candidates = counters.distinct_candidates;
-  local_info.length_filtered = counters.length_filtered;
-  local_info.histogram_filtered = counters.histogram_filtered;
-  local_info.verified_candidates = counters.verified_candidates;
-  local_info.verify_work_units = counters.verify_work_units;
-  local_info.batched_verify_calls = counters.batched_verify_calls;
-  local_info.batched_verify_lanes_filled = counters.batched_verify_lanes_filled;
-  local_info.batched_verify_lane_slots = counters.batched_verify_lane_slots;
-  local_info.peq_table_reuses = counters.peq_table_reuses;
-  if (pair_cache != nullptr) {
-    local_info.token_pair_cache_hits = pair_cache->hits() - cache_hits_before;
-    local_info.token_pair_cache_misses =
-        pair_cache->misses() - cache_misses_before;
-    local_info.token_pair_cache_l1_hits =
-        pair_cache->l1_hits() - cache_l1_hits_before;
-    local_info.token_pair_cache_l1_misses =
-        pair_cache->l1_misses() - cache_l1_misses_before;
-    local_info.token_pair_cache_flush_batches =
-        pair_cache->flush_batches() - cache_flush_batches_before;
-    local_info.token_pair_cache_flushed_records =
-        pair_cache->flushed_records() - cache_flushed_records_before;
-  }
-  local_info.combiner_input_records =
-      local_info.pipeline.total_combiner_input_records();
-  local_info.combiner_output_records =
-      local_info.pipeline.total_combiner_output_records();
-  local_info.spilled_records = local_info.pipeline.total_spilled_records();
-  local_info.spill_files = local_info.pipeline.total_spill_files();
-  local_info.spill_bytes = local_info.pipeline.total_spill_bytes();
-  local_info.spill_raw_bytes =
-      local_info.pipeline.total_spill_raw_bytes();
-  local_info.merge_passes = local_info.pipeline.total_merge_passes();
-  local_info.checksum_failures =
-      local_info.pipeline.total_checksum_failures();
-  local_info.prefetch_hits = local_info.pipeline.total_prefetch_hits();
-  local_info.peak_resident_records =
-      local_info.pipeline.max_peak_resident_records();
-  local_info.task_failures = local_info.pipeline.total_task_failures();
-  local_info.task_retries = local_info.pipeline.total_task_retries();
-  local_info.tasks_cancelled =
-      local_info.pipeline.total_tasks_cancelled();
-  local_info.tasks_degraded = local_info.pipeline.total_tasks_degraded();
-  local_info.tasks_checkpointed =
-      local_info.pipeline.total_tasks_checkpointed();
-  local_info.tasks_skipped_by_checkpoint =
-      local_info.pipeline.total_tasks_skipped_by_checkpoint();
-  local_info.hedges_launched = local_info.pipeline.total_hedges_launched();
-  local_info.hedges_won = local_info.pipeline.total_hedges_won();
-  local_info.result_pairs = results.size();
-  local_info.peak_shuffle_records = gauge.peak();
-  // Lossy spill faults become the join's error (see SelfJoin).
-  if (Status s = local_info.pipeline.first_spill_data_loss(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
-  // Fatal task errors fail the join too (see SelfJoin).
-  if (Status s = local_info.pipeline.first_task_error(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
-  if (info != nullptr) *info = std::move(local_info);
-  return results;
+  ledger.gauge.Sub(token_pair_candidates.size());
+  results.insert(results.end(), streamed.begin(), streamed.end());
+  local_info.pipeline.Add(std::move(stage1_stats));
+  local_info.pipeline.Append(mass_stats);
+  local_info.pipeline.Add(std::move(stage2_stats));
+  return ledger.Finish(std::move(results), &local_info, info);
 }
 
 }  // namespace tsj

@@ -21,12 +21,14 @@
 //             corpus-wide TokenPairCache across candidates, and no
 //             per-candidate materialization; cross-corpus joins resolve
 //             ids into per-thread scratch via Corpus::MaterializeInto.
-//             Candidates of one reduce group verify in aggregate-length
-//             order so DP scratch and cache lines stay resident.
 //
-// Every stage runs on the in-process MapReduce engine and records JobStats,
-// so a run can be replayed through the simulated-cluster model at any
-// machine count (Figs. 1-3, 7).
+// Candidate generation, dedup and verify run as one fused sorted-shuffle
+// job (RunFusedMapReduceSorted): the shared-token reduce and the
+// similar-token expansion emit candidates straight into the dedup/verify
+// shuffle, so nothing materializes the pre-dedup candidate universe, and
+// dedup is a scan over sorted key runs. Every stage runs on the in-process
+// MapReduce engine and records JobStats, so a run can be replayed through
+// the simulated-cluster model at any machine count (Figs. 1-3, 7).
 
 #ifndef TSJ_TSJ_TSJ_H_
 #define TSJ_TSJ_TSJ_H_
@@ -108,8 +110,8 @@ struct TsjRunInfo {
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;
   uint64_t peq_table_reuses = 0;
-  /// Records scanned by the shuffle combiner (streaming mode; pre-combine
-  /// candidate volume) and records it kept. input - output is the shuffle
+  /// Records scanned by the shuffle combiner (pre-combine candidate
+  /// volume) and records it kept. input - output is the shuffle
   /// traffic the combiner removed before the dedup/verify stage boundary.
   uint64_t combiner_input_records = 0;
   uint64_t combiner_output_records = 0;
@@ -167,10 +169,8 @@ struct TsjRunInfo {
   uint64_t result_pairs = 0;
   /// Pipeline-wide high-water mark of shuffle-resident records: one
   /// ShuffleGauge threads through every MapReduce job of the run
-  /// (including the MassJoin sub-pipeline) plus the candidate vectors
-  /// living between jobs, so legacy-vs-streaming runs compare peak
-  /// candidate-universe residency directly (bench_ablation reports the
-  /// reduction).
+  /// (including the MassJoin sub-pipeline) plus the similar-token
+  /// side-input vector.
   uint64_t peak_shuffle_records = 0;
 };
 

@@ -367,6 +367,44 @@ TEST_F(CheckpointTest, TsjRestartAfterFatalFaultIsByteIdentical) {
   EXPECT_GE(restarted_info.tasks_skipped_by_checkpoint, 1u);
 }
 
+TEST_F(CheckpointTest, DirReusedAcrossEqualStatisticsInputsIsNotRestored) {
+  // B is A with two strings swapped: same size, same tokens, same token
+  // occurrences — only the content order differs. A checkpoint dir left
+  // by a run over A must not leak A's map outputs into a run over B.
+  const std::vector<TokenizedString> a_strings = {{"johnathan", "smithers"},
+                                                  {"johnathon", "smithers"},
+                                                  {"maryanne", "jonesberg"},
+                                                  {"maryanna", "jonesberg"}};
+  Corpus a, b;
+  for (const TokenizedString& s : a_strings) a.AddString(s);
+  for (size_t i : {0, 2, 1, 3}) b.AddString(a_strings[i]);
+  TsjOptions options;
+  options.threshold = 0.2;
+  options.mapreduce.num_workers = 1;
+  const auto fresh = TokenizedStringJoiner(options).SelfJoin(b);
+  ASSERT_TRUE(fresh.ok());
+  const std::vector<std::tuple<uint32_t, uint32_t, double>> expected =
+      SortedPairs(*fresh);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(std::get<0>(expected[0]), 0u);
+  EXPECT_EQ(std::get<1>(expected[0]), 2u);
+  EXPECT_EQ(std::get<0>(expected[1]), 1u);
+  EXPECT_EQ(std::get<1>(expected[1]), 3u);
+
+  TsjOptions ckpt = options;
+  ckpt.enable_checkpointing = true;
+  ckpt.mapreduce.checkpoint_dir = dir_;
+  TsjRunInfo a_info;
+  ASSERT_TRUE(TokenizedStringJoiner(ckpt).SelfJoin(a, &a_info).ok());
+  EXPECT_GE(a_info.tasks_checkpointed, 1u);
+
+  TsjRunInfo b_info;
+  const auto reused = TokenizedStringJoiner(ckpt).SelfJoin(b, &b_info);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_EQ(SortedPairs(*reused), expected);
+  EXPECT_EQ(b_info.tasks_skipped_by_checkpoint, 0u);
+}
+
 TEST_F(CheckpointTest, JoinLevelSwitchGatesTheEngineDirectory) {
   // checkpoint_dir set but enable_checkpointing left off: the gate strips
   // the directory, nothing is sealed, nothing is restored.

@@ -13,20 +13,22 @@
 //   * BoundedSld on interned token-id spans (with and without the
 //     TokenPairCache, exact and greedy aligning) == BoundedSld on the
 //     materialized byte multisets, on random corpora and budgets;
-//   * the streaming fused TSJ pipeline (sorted-shuffle engine with the
-//     shuffle combiner and the per-worker L1 verify-cache tier on, i.e.
-//     the defaults) == the legacy two-job hash-shuffle pipeline:
-//     identical sorted (pair, NSLD) sets and identical candidate/filter
-//     counters, across dedup strategies, matchings, worker and partition
-//     counts, for both SelfJoin and the two-collection Join;
-//   * each contention-relief toggle alone — L1 tier, combiner,
-//     skew-adaptive partitioning — off vs the all-on default: identical
-//     results and counters (they may only move traffic and timing);
+//   * the TSJ pipeline == a brute-force oracle that uses no MapReduce
+//     engine (BruteForceOracle below): every pair's
+//     exact NSLD (BruteForceNsldSelfJoin / testutil::BruteForceRP),
+//     restricted to token-sharing pairs under exact matching, and the
+//     distinct candidate count checked pair by pair. Identical pairs,
+//     NSLD values equal to the oracle's, and candidate/filter counters
+//     equal to a 1-worker, 1-partition run, across dedup strategies,
+//     matchings, workers {1, 4, hw} and partitions {1, 7, 64}, for both
+//     SelfJoin and the two-collection Join;
+//   * each contention-relief toggle — L1 tier, combiner, skew-adaptive
+//     partitioning — against the same oracle and counters (they may only
+//     move traffic and timing);
 //   * the spill-forced pipeline (enable_shuffle_spill with
 //     memory_budget_records tiny enough to force multi-file disk spills,
-//     budgets {1, 7, 64} x workers x partitions x combiner on/off) == the
-//     in-memory streaming engine == the legacy engine: identical sorted
-//     (pair, NSLD) sets and candidate/filter counters — spill correctness
+//     budgets {1, 7, 64} x workers x partitions x combiner on/off)
+//     against the oracle and the in-memory counters — spill correctness
 //     is dominated by rare boundary conditions (runs split across files,
 //     re-combine at flush and merge), exactly what this sweep hammers.
 
@@ -37,6 +39,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -45,6 +48,8 @@
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
 #include "distance/myers_batch.h"
+#include "distance/normalized_levenshtein.h"
+#include "eval/join_metrics.h"
 #include "gtest/gtest.h"
 #include "hmj/hmj.h"
 #include "test_util.h"
@@ -242,10 +247,11 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
   }
 }
 
-// ---- Streaming-vs-legacy shuffle engine ----------------------------------
+// ---- TSJ against a brute-force oracle ------------------------------------
 
-// (pair, NSLD) as an order-free set: the engines may emit results in any
-// order but must produce identical pairs with bit-identical NSLD values.
+// (pair, NSLD) as an order-free set, for run-vs-run comparisons: two runs
+// may emit results in any order but must produce identical pairs with
+// bit-identical NSLD values.
 using PairNsldSet = std::set<std::pair<std::pair<uint32_t, uint32_t>, double>>;
 
 PairNsldSet ToPairNsldSet(const std::vector<TsjPair>& pairs) {
@@ -279,134 +285,223 @@ Corpus RandomJoinCorpus(Rng* rng, size_t n) {
   return corpus;
 }
 
-// Asserts that the streaming fused pipeline and the legacy two-job
-// pipeline agree on results AND on the dedup/filter counters — the
-// streaming dedup is a sorted-run scan, so any grouping bug shows up as a
-// counter drift even when the result set happens to survive.
-void ExpectStreamingMatchesLegacy(const TsjRunInfo& streaming,
-                                  const TsjRunInfo& legacy,
-                                  const std::string& context) {
-  EXPECT_EQ(streaming.shared_token_candidates,
-            legacy.shared_token_candidates)
-      << context;
-  EXPECT_EQ(streaming.similar_token_pairs, legacy.similar_token_pairs)
-      << context;
-  EXPECT_EQ(streaming.similar_token_candidates,
-            legacy.similar_token_candidates)
-      << context;
-  EXPECT_EQ(streaming.distinct_candidates, legacy.distinct_candidates)
-      << context;
-  EXPECT_EQ(streaming.length_filtered, legacy.length_filtered) << context;
-  EXPECT_EQ(streaming.histogram_filtered, legacy.histogram_filtered)
-      << context;
-  EXPECT_EQ(streaming.verified_candidates, legacy.verified_candidates)
-      << context;
-  EXPECT_EQ(streaming.result_pairs, legacy.result_pairs) << context;
+// What a correct TSJ run returns and counts, computed with no MapReduce
+// engine at all (M is unbounded in these sweeps, so no token is dropped).
+struct Oracle {
+  std::vector<TsjPair> pairs;  // sorted by (a, b)
+  uint64_t distinct_candidates = 0;
+  uint64_t similar_token_pairs = 0;
+};
+
+std::vector<std::pair<uint32_t, uint32_t>> IdPairs(
+    const std::vector<TsjPair>& pairs) {
+  std::vector<std::pair<uint32_t, uint32_t>> ids;
+  for (const TsjPair& p : pairs) ids.emplace_back(p.a, p.b);
+  return ids;
 }
 
-TEST(DifferentialTest, StreamingSelfJoinMatchesLegacyEngine) {
-  Rng rng(20260726);
-  constexpr int kRounds = 6;
-  const std::vector<size_t> worker_counts = {1, 4, 0};  // 0 = hardware
-  const std::vector<size_t> partition_counts = {1, 7, 64};
-  for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomJoinCorpus(&rng, 60);
-    const double t = 0.08 + 0.3 * rng.NextDouble();
-    for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
-                                DedupStrategy::kGroupOnBothStrings}) {
-      for (TokenMatching matching :
-           {TokenMatching::kFuzzy, TokenMatching::kExact}) {
-        TsjOptions options;
-        options.threshold = t;
-        options.max_token_frequency = 1u << 30;
-        options.dedup = dedup;
-        options.matching = matching;
-        // The sweep below must control the partition count exactly, so
-        // the adaptive planner is off; its losslessness has its own test.
-        options.adaptive_partitions = false;
+void SortByIds(std::vector<TsjPair>* pairs) {
+  std::sort(pairs->begin(), pairs->end(),
+            [](const TsjPair& x, const TsjPair& y) {
+              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+            });
+}
 
-        TsjOptions legacy_options = options;
-        legacy_options.enable_streaming_shuffle = false;
-        TsjRunInfo legacy_info;
-        const auto legacy = TokenizedStringJoiner(legacy_options)
-                                .SelfJoin(corpus, &legacy_info);
-        ASSERT_TRUE(legacy.ok());
-        const PairNsldSet expected = ToPairNsldSet(*legacy);
+// The oracle of the self-join of `r` (p == nullptr) or of the R-S join of
+// `r` and `*p`: all pairs within T by brute force, restricted to pairs
+// sharing an identical token under exact matching (empty strings pair up
+// unconditionally in both modes). A pair is a distinct candidate when its
+// strings share a token or — fuzzy mode — hold two distinct tokens whose
+// naive-DP NLD is at most T.
+Oracle BruteForceOracle(const Corpus& r, const Corpus* p, double t,
+                        TokenMatching matching) {
+  const bool self = p == nullptr;
+  const Corpus& s_side = self ? r : *p;
+  auto token_set = [](const Corpus& corpus, uint32_t s) {
+    const TokenizedString tokens = corpus.Materialize(s);
+    return std::set<std::string>(tokens.begin(), tokens.end());
+  };
+  std::set<std::string> texts;
+  for (const Corpus* corpus : {&r, &s_side}) {
+    for (uint32_t s = 0; s < corpus->size(); ++s) {
+      const std::set<std::string> tokens = token_set(*corpus, s);
+      texts.insert(tokens.begin(), tokens.end());
+    }
+  }
+  std::set<std::pair<std::string, std::string>> similar;  // first < second
+  if (matching == TokenMatching::kFuzzy) {
+    for (auto x = texts.begin(); x != texts.end(); ++x) {
+      for (auto y = std::next(x); y != texts.end(); ++y) {
+        if (NldFromLd(NaiveLd(*x, *y), x->size(), y->size()) <= t) {
+          similar.emplace(*x, *y);
+        }
+      }
+    }
+  }
+  auto shares_token = [](const std::set<std::string>& x,
+                         const std::set<std::string>& y) {
+    for (const std::string& token : x) {
+      if (y.count(token) != 0) return true;
+    }
+    return false;
+  };
+  auto holds_similar_tokens = [&similar](const std::set<std::string>& x,
+                                         const std::set<std::string>& y) {
+    for (const std::string& tx : x) {
+      for (const std::string& ty : y) {
+        if (similar.count(std::minmax(tx, ty)) != 0) return true;
+      }
+    }
+    return false;
+  };
 
-        // The streaming engine must agree with the legacy reference for
-        // every worker/partition combination (and, transitively, with
-        // itself across them: determinism).
-        for (size_t workers : worker_counts) {
-          for (size_t partitions : partition_counts) {
-            TsjOptions streaming_options = options;
-            streaming_options.enable_streaming_shuffle = true;
-            streaming_options.mapreduce.num_workers = workers;
-            streaming_options.mapreduce.num_partitions = partitions;
-            TsjRunInfo streaming_info;
-            const auto streaming =
-                TokenizedStringJoiner(streaming_options)
-                    .SelfJoin(corpus, &streaming_info);
-            ASSERT_TRUE(streaming.ok());
-            const std::string context =
-                "round=" + std::to_string(round) + " t=" + std::to_string(t) +
-                " dedup=" + std::to_string(static_cast<int>(dedup)) +
-                " matching=" + std::to_string(static_cast<int>(matching)) +
-                " workers=" + std::to_string(workers) +
-                " partitions=" + std::to_string(partitions);
-            EXPECT_EQ(ToPairNsldSet(*streaming), expected) << context;
-            ExpectStreamingMatchesLegacy(streaming_info, legacy_info,
-                                         context);
-          }
+  Oracle oracle;
+  oracle.similar_token_pairs = similar.size();
+  oracle.pairs = self ? BruteForceNsldSelfJoin(r, t)
+                      : testutil::BruteForceRP(r, s_side, t);
+  for (uint32_t i = 0; i < r.size(); ++i) {
+    const std::set<std::string> x = token_set(r, i);
+    for (uint32_t j = self ? i + 1 : 0; j < s_side.size(); ++j) {
+      const std::set<std::string> y = token_set(s_side, j);
+      if (shares_token(x, y) || holds_similar_tokens(x, y)) {
+        ++oracle.distinct_candidates;
+      }
+    }
+  }
+  if (matching == TokenMatching::kExact) {
+    std::erase_if(oracle.pairs, [&](const TsjPair& pair) {
+      const std::set<std::string> x = token_set(r, pair.a);
+      const std::set<std::string> y = token_set(s_side, pair.b);
+      return !(x.empty() && y.empty()) && !shares_token(x, y);
+    });
+  }
+  SortByIds(&oracle.pairs);
+  return oracle;
+}
+
+// Asserts a run returned exactly the oracle's pairs, each with the
+// oracle's NSLD, after generating exactly the oracle's candidates.
+void ExpectMatchesOracle(std::vector<TsjPair> actual, const TsjRunInfo& info,
+                         const Oracle& oracle, const std::string& context) {
+  SortByIds(&actual);
+  ASSERT_EQ(IdPairs(actual), IdPairs(oracle.pairs)) << context;
+  for (size_t k = 0; k < actual.size(); ++k) {
+    EXPECT_DOUBLE_EQ(actual[k].nsld, oracle.pairs[k].nsld)
+        << context << " pair=(" << actual[k].a << "," << actual[k].b << ")";
+  }
+  EXPECT_EQ(info.distinct_candidates, oracle.distinct_candidates) << context;
+  EXPECT_EQ(info.similar_token_pairs, oracle.similar_token_pairs) << context;
+  EXPECT_EQ(info.result_pairs, oracle.pairs.size()) << context;
+}
+
+// Asserts two runs agree on every candidate and filter counter. Worker,
+// partition, spill and contention-relief settings may only move traffic
+// and timing, so each configuration must count exactly what the
+// 1-worker, 1-partition reference counts — a grouping bug shows up here
+// as a counter drift even when the result set happens to survive.
+void ExpectSameCounters(const TsjRunInfo& info, const TsjRunInfo& reference,
+                        const std::string& context) {
+  EXPECT_EQ(info.shared_token_candidates, reference.shared_token_candidates)
+      << context;
+  EXPECT_EQ(info.similar_token_pairs, reference.similar_token_pairs)
+      << context;
+  EXPECT_EQ(info.similar_token_candidates,
+            reference.similar_token_candidates)
+      << context;
+  EXPECT_EQ(info.distinct_candidates, reference.distinct_candidates)
+      << context;
+  EXPECT_EQ(info.length_filtered, reference.length_filtered) << context;
+  EXPECT_EQ(info.histogram_filtered, reference.histogram_filtered)
+      << context;
+  EXPECT_EQ(info.verified_candidates, reference.verified_candidates)
+      << context;
+  EXPECT_EQ(info.result_pairs, reference.result_pairs) << context;
+}
+
+// The lossless options every oracle sweep starts from: no token dropped,
+// and the partition count under the sweep's exact control (the adaptive
+// planner has its own losslessness check below).
+TsjOptions OracleOptions(double t, DedupStrategy dedup,
+                         TokenMatching matching) {
+  TsjOptions options;
+  options.threshold = t;
+  options.max_token_frequency = 1u << 30;
+  options.dedup = dedup;
+  options.matching = matching;
+  options.adaptive_partitions = false;
+  return options;
+}
+
+// Runs one configuration (a self-join when p == nullptr) and checks it
+// against the oracle and against the reference counters.
+TsjRunInfo RunAndExpect(const TsjOptions& options, const Corpus& r,
+                        const Corpus* p, const Oracle& oracle,
+                        const TsjRunInfo* reference,
+                        const std::string& context) {
+  TsjRunInfo info;
+  const TokenizedStringJoiner joiner(options);
+  const auto result =
+      p == nullptr ? joiner.SelfJoin(r, &info) : joiner.Join(r, *p, &info);
+  EXPECT_TRUE(result.ok()) << context << ": " << result.status().ToString();
+  if (!result.ok()) return info;
+  ExpectMatchesOracle(*result, info, oracle, context);
+  if (reference != nullptr) ExpectSameCounters(info, *reference, context);
+  return info;
+}
+
+std::string SweepContext(int round, double t, DedupStrategy dedup,
+                         TokenMatching matching) {
+  return "round=" + std::to_string(round) + " t=" + std::to_string(t) +
+         " dedup=" + std::to_string(static_cast<int>(dedup)) +
+         " matching=" + std::to_string(static_cast<int>(matching));
+}
+
+// Every dedup strategy x matching x workers {1, 4, hw} x partitions
+// {1, 7, 64} of a self-join (p == nullptr) or R-S join against the oracle.
+void SweepWorkersAndPartitions(const Corpus& r, const Corpus* p, int round,
+                               double t) {
+  for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                              DedupStrategy::kGroupOnBothStrings}) {
+    for (TokenMatching matching :
+         {TokenMatching::kFuzzy, TokenMatching::kExact}) {
+      const Oracle oracle = BruteForceOracle(r, p, t, matching);
+      const std::string base = SweepContext(round, t, dedup, matching);
+      TsjOptions options = OracleOptions(t, dedup, matching);
+      options.mapreduce.num_workers = 1;
+      options.mapreduce.num_partitions = 1;
+      const TsjRunInfo reference =
+          RunAndExpect(options, r, p, oracle, nullptr, base + " reference");
+      for (size_t workers : {size_t{1}, size_t{4}, size_t{0}}) {  // 0 = hw
+        for (size_t partitions : {size_t{1}, size_t{7}, size_t{64}}) {
+          options.mapreduce.num_workers = workers;
+          options.mapreduce.num_partitions = partitions;
+          RunAndExpect(options, r, p, oracle, &reference,
+                       base + " workers=" + std::to_string(workers) +
+                           " partitions=" + std::to_string(partitions));
         }
       }
     }
   }
 }
 
-TEST(DifferentialTest, StreamingRpJoinMatchesLegacyEngine) {
+TEST(DifferentialTest, SelfJoinMatchesBruteForceOracle) {
+  Rng rng(20260726);
+  constexpr int kRounds = 6;
+  for (int round = 0; round < kRounds; ++round) {
+    const Corpus corpus = RandomJoinCorpus(&rng, 60);
+    const double t = 0.08 + 0.3 * rng.NextDouble();
+    SweepWorkersAndPartitions(corpus, nullptr, round, t);
+  }
+}
+
+TEST(DifferentialTest, RpJoinMatchesBruteForceOracle) {
   Rng rng(31415926);
   constexpr int kRounds = 5;
   for (int round = 0; round < kRounds; ++round) {
     const Corpus r_corpus = RandomJoinCorpus(&rng, 45);
     const Corpus p_corpus = RandomJoinCorpus(&rng, 35);
     const double t = 0.08 + 0.3 * rng.NextDouble();
-    for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
-                                DedupStrategy::kGroupOnBothStrings}) {
-      TsjOptions options;
-      options.threshold = t;
-      options.max_token_frequency = 1u << 30;
-      options.dedup = dedup;
-      options.adaptive_partitions = false;  // the sweep sets the count
-
-      TsjOptions legacy_options = options;
-      legacy_options.enable_streaming_shuffle = false;
-      TsjRunInfo legacy_info;
-      const auto legacy = TokenizedStringJoiner(legacy_options)
-                              .Join(r_corpus, p_corpus, &legacy_info);
-      ASSERT_TRUE(legacy.ok());
-      const PairNsldSet expected = ToPairNsldSet(*legacy);
-
-      for (size_t workers : {size_t{1}, size_t{4}}) {
-        for (size_t partitions : {size_t{1}, size_t{7}, size_t{64}}) {
-          TsjOptions streaming_options = options;
-          streaming_options.enable_streaming_shuffle = true;
-          streaming_options.mapreduce.num_workers = workers;
-          streaming_options.mapreduce.num_partitions = partitions;
-          TsjRunInfo streaming_info;
-          const auto streaming =
-              TokenizedStringJoiner(streaming_options)
-                  .Join(r_corpus, p_corpus, &streaming_info);
-          ASSERT_TRUE(streaming.ok());
-          const std::string context =
-              "round=" + std::to_string(round) + " t=" + std::to_string(t) +
-              " dedup=" + std::to_string(static_cast<int>(dedup)) +
-              " workers=" + std::to_string(workers) +
-              " partitions=" + std::to_string(partitions);
-          EXPECT_EQ(ToPairNsldSet(*streaming), expected) << context;
-          ExpectStreamingMatchesLegacy(streaming_info, legacy_info, context);
-        }
-      }
-    }
+    SweepWorkersAndPartitions(r_corpus, &p_corpus, round, t);
   }
 }
 
@@ -415,38 +510,33 @@ TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
   // batched shared upserts included), the sorted-shuffle combiner, and
   // the skew-adaptive partition planner must each change *nothing* about
   // the join's output or its candidate/filter counters — only traffic
-  // and timing. Each toggle runs against the all-on default and against
-  // the legacy engine on the same corpora.
+  // and timing. The all-on default and each toggle run against the oracle
+  // on the same corpora.
   Rng rng(17092026);
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
     const Corpus corpus = RandomJoinCorpus(&rng, 80);
     const double t = 0.08 + 0.3 * rng.NextDouble();
+    const Oracle oracle =
+        BruteForceOracle(corpus, nullptr, t, TokenMatching::kFuzzy);
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
-      TsjOptions all_on;  // streaming + combiner + L1 + adaptive: defaults
+      const std::string base =
+          SweepContext(round, t, dedup, TokenMatching::kFuzzy);
+      TsjOptions reference_options =
+          OracleOptions(t, dedup, TokenMatching::kFuzzy);
+      reference_options.mapreduce.num_workers = 1;
+      reference_options.mapreduce.num_partitions = 1;
+      const TsjRunInfo reference = RunAndExpect(
+          reference_options, corpus, nullptr, oracle, nullptr, base);
+
+      TsjOptions all_on;  // combiner + L1 + adaptive: the defaults
       all_on.threshold = t;
       all_on.max_token_frequency = 1u << 30;
       all_on.dedup = dedup;
       all_on.mapreduce.num_workers = 4;
-
-      TsjOptions legacy_options = all_on;
-      legacy_options.enable_streaming_shuffle = false;
-
-      TsjRunInfo reference_info;
-      const auto reference = TokenizedStringJoiner(all_on).SelfJoin(
-          corpus, &reference_info);
-      ASSERT_TRUE(reference.ok());
-      const PairNsldSet expected = ToPairNsldSet(*reference);
-
-      TsjRunInfo legacy_info;
-      const auto legacy = TokenizedStringJoiner(legacy_options)
-                              .SelfJoin(corpus, &legacy_info);
-      ASSERT_TRUE(legacy.ok());
-      EXPECT_EQ(ToPairNsldSet(*legacy), expected);
-      ExpectStreamingMatchesLegacy(reference_info, legacy_info,
-                                   "all-on vs legacy round=" +
-                                       std::to_string(round));
+      const TsjRunInfo all_on_info = RunAndExpect(
+          all_on, corpus, nullptr, oracle, &reference, base + " all-on");
 
       struct Toggle {
         const char* name;
@@ -469,26 +559,16 @@ TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
       for (const Toggle& toggle : toggles) {
         TsjOptions options = all_on;
         toggle.apply(&options);
-        TsjRunInfo info;
-        const auto result =
-            TokenizedStringJoiner(options).SelfJoin(corpus, &info);
-        ASSERT_TRUE(result.ok());
-        const std::string context = std::string(toggle.name) +
-                                    " round=" + std::to_string(round) +
-                                    " dedup=" +
-                                    std::to_string(static_cast<int>(dedup));
-        EXPECT_EQ(ToPairNsldSet(*result), expected) << context;
-        ExpectStreamingMatchesLegacy(info, reference_info, context);
+        RunAndExpect(options, corpus, nullptr, oracle, &reference,
+                     base + " " + toggle.name);
       }
 
-      // The default run exercised the machinery it claims to: L1 probes
-      // happened (the tiny-token corpus may gate most edges below the
-      // shared round-trip, but the L1 gate sits far lower), and the
+      // The default run exercised the machinery it claims to: the
       // combiner saw the candidate stream.
-      EXPECT_GT(reference_info.combiner_input_records, 0u)
-          << "round=" << round;
-      EXPECT_GE(reference_info.combiner_input_records,
-                reference_info.combiner_output_records);
+      EXPECT_GT(all_on_info.combiner_input_records, 0u) << base;
+      EXPECT_GE(all_on_info.combiner_input_records,
+                all_on_info.combiner_output_records)
+          << base;
     }
   }
 }
@@ -497,28 +577,25 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
   // The spill tier's differential: with budgets far below the workload's
   // shuffle volume, every partition bucket spills (multi-file runs, runs
   // split mid-key, flush-combine + merge-combine) — and nothing about
-  // the join may change. Budget 64 sits near the workload's size, so the
-  // boundary "barely spills / barely doesn't" is swept too.
+  // the join may change: the oracle's pairs and the in-memory 1-worker,
+  // 1-partition run's counters. Budget 64 sits near the workload's size,
+  // so the boundary "barely spills / barely doesn't" is swept too.
   Rng rng(50926072);
   constexpr int kRounds = 2;
   for (int round = 0; round < kRounds; ++round) {
     const Corpus corpus = RandomJoinCorpus(&rng, 36);
     const double t = 0.08 + 0.3 * rng.NextDouble();
+    const Oracle oracle =
+        BruteForceOracle(corpus, nullptr, t, TokenMatching::kFuzzy);
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
-      TsjOptions options;
-      options.threshold = t;
-      options.max_token_frequency = 1u << 30;
-      options.dedup = dedup;
-      options.adaptive_partitions = false;  // the sweep sets the count
-
-      TsjOptions legacy_options = options;
-      legacy_options.enable_streaming_shuffle = false;
-      TsjRunInfo legacy_info;
-      const auto legacy = TokenizedStringJoiner(legacy_options)
-                              .SelfJoin(corpus, &legacy_info);
-      ASSERT_TRUE(legacy.ok());
-      const PairNsldSet expected = ToPairNsldSet(*legacy);
+      const std::string base =
+          SweepContext(round, t, dedup, TokenMatching::kFuzzy);
+      TsjOptions options = OracleOptions(t, dedup, TokenMatching::kFuzzy);
+      options.mapreduce.num_workers = 1;
+      options.mapreduce.num_partitions = 1;
+      const TsjRunInfo reference =
+          RunAndExpect(options, corpus, nullptr, oracle, nullptr, base);
 
       for (const bool combiner_on : {true, false}) {
         for (const size_t workers : {size_t{1}, size_t{4}}) {
@@ -531,20 +608,14 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
               spill_options.mapreduce.memory_budget_records = budget;
               spill_options.mapreduce.num_workers = workers;
               spill_options.mapreduce.num_partitions = partitions;
-              TsjRunInfo info;
-              const auto spilled = TokenizedStringJoiner(spill_options)
-                                       .SelfJoin(corpus, &info);
-              ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
               const std::string context =
-                  "round=" + std::to_string(round) +
-                  " t=" + std::to_string(t) +
-                  " dedup=" + std::to_string(static_cast<int>(dedup)) +
-                  " combiner=" + std::to_string(combiner_on) +
+                  base + " combiner=" + std::to_string(combiner_on) +
                   " workers=" + std::to_string(workers) +
                   " partitions=" + std::to_string(partitions) +
                   " budget=" + std::to_string(budget);
-              EXPECT_EQ(ToPairNsldSet(*spilled), expected) << context;
-              ExpectStreamingMatchesLegacy(info, legacy_info, context);
+              const TsjRunInfo info =
+                  RunAndExpect(spill_options, corpus, nullptr, oracle,
+                               &reference, context);
               if (budget <= 7) {
                 // Tiny budgets must actually force multi-file spills —
                 // otherwise this sweep silently stops testing anything.
@@ -558,13 +629,8 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
                 // join. One combo per budget keeps the sweep's runtime.
                 TsjOptions v1_options = spill_options;
                 v1_options.mapreduce.spill_format.v2 = false;
-                TsjRunInfo v1_info;
-                const auto v1_result = TokenizedStringJoiner(v1_options)
-                                           .SelfJoin(corpus, &v1_info);
-                ASSERT_TRUE(v1_result.ok())
-                    << v1_result.status().ToString();
-                EXPECT_EQ(ToPairNsldSet(*v1_result), expected)
-                    << context << " format=v1";
+                RunAndExpect(v1_options, corpus, nullptr, oracle,
+                             &reference, context + " format=v1");
               }
             }
           }
@@ -576,72 +642,46 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
 
 TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
   // Two-collection form of the spill differential (tagged-id keys flow
-  // through the spill codec; one compact sweep).
+  // through the spill codec): every budget x workers {1, 4, hw} x
+  // partitions {1, 7, 64}, against the oracle and the in-memory
+  // reference counters.
   Rng rng(60926072);
   const Corpus r_corpus = RandomJoinCorpus(&rng, 30);
   const Corpus p_corpus = RandomJoinCorpus(&rng, 24);
   const double t = 0.15;
+  const Oracle oracle =
+      BruteForceOracle(r_corpus, &p_corpus, t, TokenMatching::kFuzzy);
   for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                               DedupStrategy::kGroupOnBothStrings}) {
-    TsjOptions options;
-    options.threshold = t;
-    options.max_token_frequency = 1u << 30;
-    options.dedup = dedup;
-    options.adaptive_partitions = false;
-
-    TsjOptions legacy_options = options;
-    legacy_options.enable_streaming_shuffle = false;
-    TsjRunInfo legacy_info;
-    const auto legacy = TokenizedStringJoiner(legacy_options)
-                            .Join(r_corpus, p_corpus, &legacy_info);
-    ASSERT_TRUE(legacy.ok());
-    const PairNsldSet expected = ToPairNsldSet(*legacy);
+    const std::string base = SweepContext(0, t, dedup, TokenMatching::kFuzzy);
+    TsjOptions options = OracleOptions(t, dedup, TokenMatching::kFuzzy);
+    options.mapreduce.num_workers = 1;
+    options.mapreduce.num_partitions = 1;
+    const TsjRunInfo reference =
+        RunAndExpect(options, r_corpus, &p_corpus, oracle, nullptr, base);
 
     for (const size_t budget : {size_t{1}, size_t{7}, size_t{64}}) {
-      TsjOptions spill_options = options;
-      spill_options.enable_shuffle_spill = true;
-      spill_options.mapreduce.memory_budget_records = budget;
-      spill_options.mapreduce.num_workers = 4;
-      spill_options.mapreduce.num_partitions = 7;
-      TsjRunInfo info;
-      const auto spilled = TokenizedStringJoiner(spill_options)
-                               .Join(r_corpus, p_corpus, &info);
-      ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-      const std::string context =
-          "dedup=" + std::to_string(static_cast<int>(dedup)) +
-          " budget=" + std::to_string(budget);
-      EXPECT_EQ(ToPairNsldSet(*spilled), expected) << context;
-      ExpectStreamingMatchesLegacy(info, legacy_info, context);
-      if (budget <= 7) EXPECT_GT(info.spilled_records, 0u) << context;
+      for (size_t workers : {size_t{1}, size_t{4}, size_t{0}}) {  // 0 = hw
+        for (size_t partitions : {size_t{1}, size_t{7}, size_t{64}}) {
+          TsjOptions spill_options = options;
+          spill_options.enable_shuffle_spill = true;
+          spill_options.mapreduce.memory_budget_records = budget;
+          spill_options.mapreduce.num_workers = workers;
+          spill_options.mapreduce.num_partitions = partitions;
+          const std::string context =
+              base + " budget=" + std::to_string(budget) +
+              " workers=" + std::to_string(workers) +
+              " partitions=" + std::to_string(partitions);
+          const TsjRunInfo info = RunAndExpect(
+              spill_options, r_corpus, &p_corpus, oracle, &reference,
+              context);
+          if (budget <= 7) {
+            EXPECT_GT(info.spilled_records, 0u) << context;
+          }
+        }
+      }
     }
   }
-}
-
-TEST(DifferentialTest, StreamingSelfJoinPeaksBelowLegacy) {
-  // The reason the streaming engine exists: on a token-sharing-heavy
-  // corpus the legacy pipeline holds the pre-dedup candidate universe and
-  // the dedup job's map output at the same time, while the fused pipeline
-  // streams generation into the dedup shuffle. The differential suite
-  // pins the peak ordering so a fusion regression (re-materializing the
-  // universe) cannot land silently.
-  Rng rng(27182818);
-  const Corpus corpus = RandomJoinCorpus(&rng, 250);
-  TsjOptions options;
-  options.threshold = 0.1;
-  options.max_token_frequency = 1u << 30;
-
-  TsjOptions legacy_options = options;
-  legacy_options.enable_streaming_shuffle = false;
-  TsjRunInfo legacy_info, streaming_info;
-  ASSERT_TRUE(TokenizedStringJoiner(legacy_options)
-                  .SelfJoin(corpus, &legacy_info)
-                  .ok());
-  ASSERT_TRUE(
-      TokenizedStringJoiner(options).SelfJoin(corpus, &streaming_info).ok());
-  EXPECT_GT(legacy_info.peak_shuffle_records, 0u);
-  EXPECT_GT(streaming_info.peak_shuffle_records, 0u);
-  EXPECT_LT(streaming_info.peak_shuffle_records,
-            legacy_info.peak_shuffle_records);
 }
 
 // ---- Batched SIMD verify kernel ------------------------------------------
@@ -851,7 +891,7 @@ TEST(DifferentialTest, BatchedSelfJoinIsLossless) {
             " workers=" + std::to_string(workers);
         EXPECT_EQ(ToPairNsldSet(*batched), ToPairNsldSet(*scalar))
             << context;
-        ExpectStreamingMatchesLegacy(batched_info, scalar_info, context);
+        ExpectSameCounters(batched_info, scalar_info, context);
         if (workers == 1) {
           // Work accounting is only run-to-run deterministic single
           // threaded: with several workers the shared cache fills in a

@@ -16,7 +16,7 @@
 namespace tsj {
 namespace {
 
-// Word count on both engines: the canonical differential.
+// Splits a document on spaces, calling emit(word) per word.
 void CountWords(const std::string& doc, const auto& emit) {
   std::string word;
   for (char c : doc) {
@@ -50,24 +50,14 @@ std::vector<std::pair<std::string, int>> SortedWordCount(
   return result;
 }
 
-std::vector<std::pair<std::string, int>> LegacyWordCount(
-    const std::vector<std::string>& docs, const MapReduceOptions& options,
-    JobStats* stats = nullptr) {
-  auto result = RunMapReduce<std::string, std::string, int,
-                             std::pair<std::string, int>>(
-      "wordcount-legacy", docs,
-      [](const std::string& doc, Emitter<std::string, int>* out) {
-        CountWords(doc, [&](const std::string& word) { out->Emit(word, 1); });
-      },
-      [](const std::string& word, std::vector<int>* values,
-         std::vector<std::pair<std::string, int>>* out) {
-        int total = 0;
-        for (int v : *values) total += v;
-        out->emplace_back(word, total);
-      },
-      options, stats);
-  std::sort(result.begin(), result.end());
-  return result;
+// The obviously-correct reference: a sequential std::map word count.
+std::vector<std::pair<std::string, int>> MapWordCount(
+    const std::vector<std::string>& docs) {
+  std::map<std::string, int> counts;
+  for (const std::string& doc : docs) {
+    CountWords(doc, [&](const std::string& word) { ++counts[word]; });
+  }
+  return {counts.begin(), counts.end()};
 }
 
 TEST(PartitionedEmitterTest, ScattersByStableKeyHash) {
@@ -95,13 +85,13 @@ TEST(PartitionedEmitterTest, ZeroPartitionsClampsToOne) {
   EXPECT_EQ(emitter.bucket(0).size(), 1u);
 }
 
-TEST(MapReduceSortedTest, MatchesLegacyEngine) {
+TEST(MapReduceSortedTest, MatchesStdMapWordCount) {
   std::vector<std::string> docs;
   for (int i = 0; i < 300; ++i) {
     docs.push_back("w" + std::to_string(i % 41) + " w" +
                    std::to_string(i % 13) + " w" + std::to_string(i % 7));
   }
-  EXPECT_EQ(SortedWordCount(docs, {}), LegacyWordCount(docs, {}));
+  EXPECT_EQ(SortedWordCount(docs, {}), MapWordCount(docs));
 }
 
 TEST(MapReduceSortedTest, EmptyInput) {
@@ -351,7 +341,7 @@ TEST(ShuffleGaugeTest, PipelineGaugeMirrorsJobGauges) {
   std::vector<std::string> docs(50, "x y z x");
   JobStats first, second;
   SortedWordCount(docs, options, &first);
-  LegacyWordCount(docs, options, &second);
+  SortedWordCount(docs, options, &second);
   EXPECT_EQ(shared.current(), 0u);
   EXPECT_GE(shared.peak(), first.peak_shuffle_records);
   EXPECT_GE(shared.peak(), second.peak_shuffle_records);

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "tokenized/corpus.h"
+#include "tokenized/sld.h"
 #include "tokenized/tokenized_string.h"
+#include "tsj/tsj.h"
 
 namespace tsj {
 namespace testutil {
@@ -126,6 +129,25 @@ std::vector<std::pair<uint32_t, uint32_t>> BruteForcePairs(size_t n,
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
       if (pred(i, j)) pairs.emplace_back(i, j);
+    }
+  }
+  return pairs;
+}
+
+/// Brute-force NSLD R-S join, the two-collection twin of
+/// BruteForceNsldSelfJoin (eval/join_metrics.h): every (r, p) pair
+/// compared exactly. Returns the pairs with NSLD <= threshold, `a` the id
+/// in `r` and `b` the id in `p`.
+inline std::vector<TsjPair> BruteForceRP(const Corpus& r, const Corpus& p,
+                                         double threshold) {
+  std::vector<TsjPair> pairs;
+  for (uint32_t i = 0; i < r.size(); ++i) {
+    const TokenizedString x = r.Materialize(i);
+    for (uint32_t j = 0; j < p.size(); ++j) {
+      const int64_t sld = Sld(x, p.Materialize(j), TokenAligning::kExact);
+      const double nsld =
+          NsldFromSld(sld, r.aggregate_length(i), p.aggregate_length(j));
+      if (nsld <= threshold) pairs.push_back(TsjPair{i, j, nsld});
     }
   }
   return pairs;
